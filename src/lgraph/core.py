@@ -142,10 +142,15 @@ class RawGraph:
         for src, dst in eset:
             preds[dst].append(src)
             succs[src].append(dst)
+        # Sorting by the plain string keeps the order and skips the
+        # Python-level comparison that VertexId's __eq__ brings with it,
+        # which is most of the cost on a vertex of high degree.
         for lst in preds.values():
-            lst.sort()
+            if len(lst) > 1:
+                lst.sort(key=str.__str__)
         for lst in succs.values():
-            lst.sort()
+            if len(lst) > 1:
+                lst.sort(key=str.__str__)
         object.__setattr__(self, "labelling", MappingProxyType(lab))
         object.__setattr__(self, "edges", eset)
         object.__setattr__(self, "_sorted_vertices", tuple(verts))
@@ -453,24 +458,56 @@ def fresh_name(base: str, taken: set[str]) -> str:
     return f"{stem}{n}"
 
 
+def _fresh_names(bases: Iterable[str], taken: set[str]) -> list[str]:
+    """``fresh_name`` of each base in turn, each result added to taken.
+
+    Gives exactly the names of that literal loop, but scans each taken
+    suffix once: per-stem skip links, path-compressed, jump over runs of
+    taken suffixes, so a name costs amortised near-constant time.
+    """
+    skips: dict[str, dict[int, int]] = {}  # suffixes p..skip[p]-1 are taken
+    names = []
+    for base in bases:
+        stem, digits = _TRAILING_DIGITS.match(base).groups()
+        n = start = int(digits) + 1 if digits else 0
+        skip = skips.get(stem)
+        if skip is None:
+            skip = skips[stem] = {}
+        while True:
+            jump = skip.get(n)
+            if jump is not None:
+                n = jump
+            elif f"{stem}{n}" in taken:
+                n += 1
+            else:
+                break
+        # Every suffix on the walk from start is taken, and so is n now:
+        # link the whole walk past n.
+        end = n + 1
+        while start != n:
+            step = skip.get(start, start + 1)
+            skip[start] = end
+            start = step
+        skip[n] = end
+        name = f"{stem}{n}"
+        taken.add(name)
+        names.append(name)
+    return names
+
+
 def _renamed_apart(g: RawGraph, avoid: frozenset[VertexId]
                    ) -> tuple[dict[VertexId, LabelId],
                               list[tuple[VertexId, VertexId]],
                               dict[VertexId, VertexId]]:
     """Labelling, edges, and total map of g renamed away from avoid."""
-    mapping: dict[VertexId, VertexId] = {}
+    verts = g._sorted_vertices
+    mapping = dict(zip(verts, verts))
     if avoid.isdisjoint(g.labelling):
-        for v in g._sorted_vertices:
-            mapping[v] = v
         return dict(g.labelling), list(g.edges), mapping
-    taken = {v.name for v in avoid} | {v.name for v in g.labelling}
-    for v in g._sorted_vertices:
-        if v in avoid:
-            name = fresh_name(v.name, taken)
-            taken.add(name)
-            mapping[v] = VertexId(name)
-        else:
-            mapping[v] = v
+    taken = set(map(str.__str__, avoid))
+    taken.update(map(str.__str__, verts))
+    clash = [v for v in verts if v in avoid]
+    mapping.update(zip(clash, map(VertexId, _fresh_names(clash, taken))))
     lab = {mapping[v]: l for v, l in g.labelling.items()}
     edges = [(mapping[s], mapping[d]) for s, d in g.edges]
     return lab, edges, mapping

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from itertools import product
+from typing import Sequence, Union
 
 from . import algebra
 from .core import (Error, LabelId, LogicalGraph, PeelTree, RawGraph,
-                   VSet, peel_tree, validate)
+                   VertexId, VSet, _graph, peel_tree, validate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,18 +188,114 @@ def _render(f: Formula, context: int) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _string_order(m: int) -> Sequence[int]:
+    """0..m-1 ordered as the names v0..v{m-1} sort: v10 before v2.
+
+    Only small orders are cached, so that the cache stays small.
+    """
+    return _small_string_order(m) if m <= 1024 else sorted(range(m), key=str)
+
+
+@lru_cache(maxsize=128)
+def _small_string_order(m: int) -> tuple[int, ...]:
+    return tuple(sorted(range(m), key=str))
+
+
+def _in_string_order(items: list[int]) -> list[int]:
+    """items[i] reordered as the names v{i} sort; the same up to v9."""
+    m = len(items)
+    return items if m <= 10 else [items[i] for i in _string_order(m)]
+
+
+# VertexId(f"v{i}") for every i used so far.  VertexId interns its names
+# for the life of the process anyway; this only saves the lookups.
+_NAMES: list[VertexId] = []
+
+
+def _vertex_names(n: int) -> list[VertexId]:
+    for i in range(len(_NAMES), n):
+        _NAMES.append(VertexId(f"v{i}"))
+    return _NAMES
+
+
+# Markers for the combining step of a connective on the work stack.
+_ADD, _IMPLIES = object(), object()
+
+
 def to_graph(f: Formula) -> RawGraph:
-    """Translate structurally; always acyclic, but may fail validation."""
-    match f:
-        case Unit():
-            return algebra.empty()
-        case Atom(label):
-            return algebra.singleton(label)
-        case Tensor(left, right):
-            return algebra.add(to_graph(left), to_graph(right)).graph
-        case Lolli(left, right):
-            return algebra.implies(to_graph(left), to_graph(right)).graph
-    raise TypeError(f"not a formula: {f!r}")
+    """Translate structurally; always acyclic, but may fail validation.
+
+    The result is the fold of ``algebra.add`` over tensors and
+    ``algebra.implies`` over implications, with ``empty()`` for 1 and
+    ``singleton(a)`` for an atom, so it is a LogicalGraph exactly when f
+    has no implication.  Its vertices are named v0..v{n-1} by the rule that
+    fold follows: ``add(h, k)``, with a = |h|, b = |k|, m = min(a, b) and
+    M = max(a, b), keeps k's names and h's names v_m..v_{a-1}, and sends
+    h's v_i, i < m, to v_{M+r}, where r is the rank of "v{i}" among
+    "v0".."v{m-1}" in string order (so v10 ranks before v2).
+
+    One post-order pass over an explicit stack computes that naming
+    directly.  Each subresult is its slot list (slot i holds the vertex
+    named v_i) and its conclusion list; a merge reuses the larger slot list
+    and moves only min(a, b) entries, and edges are recorded once between
+    vertex numbers.  The graph is built once, at the end.
+    """
+    if type(f) is Unit:
+        return algebra.empty()
+    if type(f) is Atom:
+        return algebra.singleton(f.label)
+    labels: list[LabelId] = []
+    edges: list[tuple[int, int]] = []
+    has_lolli = False
+    results: list[tuple[list[int], list[int]]] = []
+    todo: list = [f]
+    while todo:
+        x = todo.pop()
+        kind = type(x)
+        if kind is Atom:
+            v = len(labels)
+            labels.append(x.label)
+            results.append(([v], [v]))
+        elif kind is Unit:
+            results.append(([], []))
+        elif kind is Tensor or kind is Lolli:
+            todo.append(_ADD if kind is Tensor else _IMPLIES)
+            todo.append(x.right)
+            todo.append(x.left)
+        elif x is _ADD or x is _IMPLIES:
+            k_slots, k_ends = results.pop()
+            h_slots, h_ends = results.pop()
+            a, b = len(h_slots), len(k_slots)
+            if a <= b:
+                slots = k_slots
+                slots.extend(_in_string_order(h_slots))
+            else:
+                slots = h_slots
+                low = slots[:b]
+                slots[:b] = k_slots
+                slots.extend(_in_string_order(low))
+            if x is _IMPLIES:
+                has_lolli = True
+                edges.extend(product(h_ends, k_ends))
+                ends = k_ends if k_ends else h_ends
+            elif len(h_ends) < len(k_ends):
+                ends = k_ends
+                ends.extend(h_ends)
+            else:
+                ends = h_ends
+                ends.extend(k_ends)
+            results.append((slots, ends))
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+    (slots, _), = results
+    names = _vertex_names(len(slots))
+    name_of: list = [None] * len(slots)
+    for i, v in enumerate(slots):
+        name_of[v] = names[i]
+    # In name order, so that sorting the vertices is one linear pass.
+    lab = {names[i]: labels[slots[i]] for i in _string_order(len(slots))}
+    cls = RawGraph if has_lolli else LogicalGraph
+    return _graph(cls, lab, [(name_of[s], name_of[d]) for s, d in edges])
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,12 +3,16 @@
 Everything here is deliberately literal and slow: direct recursion, full
 materialisation of subgraphs, exhaustive permutation search.  These are the
 second route against which the production algorithms are checked; they must
-not share code with the package beyond the data types.
+not share code with the package beyond the data types.  The one exception is
+``ref_to_graph``, whose definition is the fold of the package's graph algebra:
+the translation must name vertices exactly as that fold does.
 """
 
 from itertools import permutations
 
+from lgraph import algebra
 from lgraph.core import RawGraph
+from lgraph.mill import Atom, Lolli, Tensor, Unit
 from lgraph.traversal import Action
 
 
@@ -161,3 +165,17 @@ def ref_all_isos(g1: RawGraph, g2: RawGraph):
             continue
         found.append(m)
     return found
+
+
+def ref_to_graph(f):
+    """Literal recursive fold of add and implies over a formula."""
+    if isinstance(f, Unit):
+        return algebra.empty()
+    if isinstance(f, Atom):
+        return algebra.singleton(f.label)
+    if isinstance(f, Tensor):
+        return algebra.add(ref_to_graph(f.left), ref_to_graph(f.right)).graph
+    if isinstance(f, Lolli):
+        return algebra.implies(ref_to_graph(f.left),
+                               ref_to_graph(f.right)).graph
+    raise TypeError(f"not a formula: {f!r}")

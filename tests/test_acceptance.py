@@ -29,7 +29,7 @@ from lgraph import (Action, LabelId, NotASubgraphByName, NotInFragment,
 from lgraph.core import Error, _up_closure
 from lgraph.mill import Atom, Lolli, Tensor, Unit
 from lgraph.oracle import count_formulas
-from util import G, L, V
+from util import G, L, V, flat_tensor, left_lolli, right_lolli
 
 ATOMS = [LabelId("p"), LabelId("q")]
 MAX_CONNECTIVES = 5
@@ -482,3 +482,57 @@ def test_linear_scaling_of_assumptions_and_subtraction(tmp_path):
                       for n, a, b in rows)
     print(f"\nacceptance linear-scaling: PASS ({table})"
           + (f"; plot: {plot_path}" if plot_path else ""))
+
+
+def _labels(n):
+    return [L(f"a{i % 5}") for i in range(n)]
+
+
+def _loglog_slope(sizes, times):
+    import math
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in times]
+    k = len(xs)
+    return (k * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)) \
+        / (k * sum(x * x for x in xs) - sum(xs) ** 2)
+
+
+def test_linear_scaling_of_to_graph():
+    # Formulas are built directly: parse and Formula hashing still recurse.
+    sizes = [1_000, 3_162, 10_000, 31_623, 100_000]
+    shapes = {"flat *": flat_tensor, "left -o": left_lolli,
+              "right -o": right_lolli}
+    rows = {name: [] for name in shapes}
+    for n in sizes:
+        for name, build in shapes.items():
+            f = build(_labels(n))
+            rows[name].append(_best_of(3, lambda: to_graph(f)))
+    for name, times in rows.items():
+        assert times[-1] < 1.0, f"to_graph of a {name} chain at 1e5: " \
+                                f"{times[-1]:.3f}s"
+        slope = _loglog_slope(sizes[2:], times[2:])
+        assert 0.4 < slope < 1.6, f"{name}: log-log slope {slope:.2f}"
+    table = "; ".join(f"{name}: " + "/".join(f"{t * 1000:.0f}" for t in times)
+                      + " ms" for name, times in rows.items())
+    print(f"\nacceptance to_graph scaling: PASS (n={sizes}; {table})")
+
+
+def test_add_of_a_large_graph_to_itself():
+    # Every vertex of the left copy collides with the right copy; a scan
+    # upward through the taken names for each of them made this quadratic
+    # (16.7 s at n = 8,000).  Most of what is left is building the result
+    # graph, so the bound at 1e5 is 2 s and the slope is the sharp test.
+    sizes = [10_000, 31_623, 100_000]
+    times = []
+    for n in sizes:
+        g = to_graph(flat_tensor(_labels(n)))
+        times.append(_best_of(3, lambda: add(g, g)))
+        result = add(g, g)
+        assert len(result.graph) == 2 * n
+        assert set(result.inj1.values()) == \
+            {VertexId(f"v{i}") for i in range(n, 2 * n)}
+    assert times[-1] < 2.0, f"add(g, g) at 1e5: {times[-1]:.3f}s"
+    slope = _loglog_slope(sizes, times)
+    assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
+    print(f"\nacceptance add-renaming: PASS (n={sizes}: "
+          + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from lgraph import (CyclicEdges, LabelId, LogicalGraph, NotWellFormed,
                     full_assumption_graph, induced_subgraph, predecessors,
                     rename_apart, rename_graph, subgraph_relation, successors,
                     to_json, validate, vset)
-from lgraph.core import fresh_name, peel_tree
+from lgraph.core import _fresh_names, fresh_name, peel_tree
 from strategies import dag_graphs, raw_graphs, valid_graphs
 from util import G, L, LG, V, names
 
@@ -358,6 +359,44 @@ class TestRenaming:
         assert fresh_name("v0", {"v0", "v1"}) == "v2"
         assert fresh_name("a", {"a"}) == "a0"
         assert fresh_name("a", set()) == "a0"
+
+    def test_batched_fresh_names_match_fresh_name(self):
+        # Mixed stems, digit suffixes with leading zeros and non-ASCII
+        # digits, and runs of taken suffixes that the skip links jump.
+        rng = random.Random(7)
+        stems = ["v", "a", "x_", "n0a", ""]
+        digits = ["", "0", "1", "2", "9", "10", "11", "007", "٣", "99"]
+        for _ in range(200):
+            pool = [rng.choice(stems) + rng.choice(digits) for _ in range(30)]
+            taken = {name for name in pool if name and rng.random() < 0.6}
+            taken |= {f"v{i}" for i in range(rng.randint(0, 40))}
+            bases = [rng.choice(pool) or "v" for _ in range(rng.randint(0, 60))]
+            expected, want_taken = [], set(taken)
+            for base in bases:
+                name = fresh_name(base, want_taken)
+                want_taken.add(name)
+                expected.append(name)
+            got_taken = set(taken)
+            assert _fresh_names(bases, got_taken) == expected
+            assert got_taken == want_taken
+
+    def test_rename_apart_matches_fresh_name_loop(self):
+        g = G("v0:p v1:p v2:p v10:q v11:q a:r a0:r a1:r x9:s",
+              "v0>v1 v10>v2 a>a0")
+        avoid = [V(n) for n in ("v0", "v1", "v2", "v10", "a", "a1", "v3",
+                                "v12", "x9", "x10")]
+        taken = {str(v) for v in avoid} | {str(v) for v in g.vertices()}
+        expected = {}
+        for v in g.vertices():
+            if v in avoid:
+                name = fresh_name(str(v), taken)
+                taken.add(name)
+                expected[v] = V(name)
+            else:
+                expected[v] = v
+        renamed, mapping = rename_apart(g, avoid)
+        assert mapping == expected
+        assert renamed == rename_graph(g, expected)
 
     def test_disjoint_avoid_is_identity(self):
         g = G("a:p b:q", "a>b")

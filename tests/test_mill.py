@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 import refimpl
-from lgraph import (Atom, Lolli, NotInFragment, ParseError, Tensor, Unit,
-                    alpha_equiv, canonical_key, decompose, empty, normalize,
-                    parse, print_formula, rename_apart, singleton, to_formula,
-                    to_graph, validate)
+from lgraph import (Atom, LogicalGraph, Lolli, NotInFragment, ParseError,
+                    RawGraph, Tensor, Unit, alpha_equiv, canonical_key,
+                    decompose, empty, normalize, parse, print_formula,
+                    rename_apart, singleton, to_formula, to_graph, to_json,
+                    validate)
 from lgraph.core import peel_tree
 from strategies import formulas, valid_graphs
-from util import G, L, LG, V, names
+from util import (G, L, LG, V, flat_tensor, left_lolli, names,
+                  right_lolli)
 
 P, Q, R = L("p"), L("q"), L("r")
 
@@ -113,6 +117,111 @@ class TestToGraph:
         b_src = next(v for v in by_label["b"] if v in sources)
         b_dst = next(v for v in by_label["b"] if v not in sources)
         assert g.edges == {(a, b_dst), (a, c), (b_src, b_dst), (b_src, c)}
+
+
+def _balanced(labels, depth=0):
+    """Tensors at even depth, implications at odd depth."""
+    if len(labels) == 1:
+        return Atom(labels[0])
+    mid = len(labels) // 2
+    node = Tensor if depth % 2 == 0 else Lolli
+    return node(_balanced(labels[:mid], depth + 1),
+                _balanced(labels[mid:], depth + 1))
+
+
+def _random_formula(rng, budget, labels):
+    if budget <= 1:
+        return Unit() if rng.random() < 0.15 else Atom(rng.choice(labels))
+    split = rng.randint(1, budget - 1)
+    node = Tensor if rng.random() < 0.5 else Lolli
+    return node(_random_formula(rng, split, labels),
+                _random_formula(rng, budget - split, labels))
+
+
+class TestToGraphMatchesTheAlgebraFold:
+    """to_graph against the literal fold of add/implies in refimpl.
+
+    The fold names vertices through fresh_name, whose string-order renaming
+    only departs from numeric order once an operand has more than ten
+    vertices, hence the wide families over distinct labels.
+    """
+
+    @staticmethod
+    def assert_same(f):
+        got, want = to_graph(f), refimpl.ref_to_graph(f)
+        assert type(got) is type(want)
+        assert to_json(got) == to_json(want)
+
+    def test_every_formula_up_to_three_connectives(self):
+        from lgraph import enumerate_formulas
+        for f in enumerate_formulas([P, Q], 3):
+            self.assert_same(f)
+
+    def test_seeded_random_formulas_with_units(self):
+        rng = random.Random(20261018)
+        labels = [L(f"a{i}") for i in range(40)]
+        for _ in range(400):
+            self.assert_same(_random_formula(rng, rng.randint(1, 80), labels))
+
+    @pytest.mark.parametrize("size", [11, 12, 13, 21, 100, 101, 257, 400])
+    @pytest.mark.parametrize("family", [flat_tensor, left_lolli,
+                                        right_lolli, _balanced])
+    def test_wide_families_over_distinct_labels(self, family, size):
+        self.assert_same(family([L(f"x{i}") for i in range(size)]))
+
+    def test_tensor_of_two_twelve_atom_tensors(self):
+        # The left operand's v_i moves to v_{12+r}, r the rank of "v{i}" in
+        # string order; numeric ranks would put a different atom at v14.
+        left = flat_tensor([L(f"a{i}") for i in range(12)])
+        right = flat_tensor([L(f"b{i}") for i in range(12)])
+        self.assert_same(Tensor(left, right))
+        g, h = to_graph(Tensor(left, right)), to_graph(left)
+        order = sorted(range(12), key=str)
+        assert order[:3] == [0, 1, 10]
+        for r, i in enumerate(order):
+            assert g.labelling[V(f"v{12 + r}")] == h.labelling[V(f"v{i}")]
+        assert g.labelling[V("v14")] != h.labelling[V("v2")]
+
+    def test_result_type(self):
+        assert type(to_graph(parse("a * b"))) is LogicalGraph
+        assert type(to_graph(parse("1 * a"))) is LogicalGraph
+        assert type(to_graph(parse("1 -o a"))) is RawGraph
+        assert type(to_graph(parse("(1 -o a) * b"))) is RawGraph
+        assert to_graph(parse("1")) is empty()
+        assert to_graph(parse("a")) is singleton(L("a"))
+
+    def test_non_formula_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            to_graph("p")
+        with pytest.raises(TypeError):
+            to_graph(Tensor(Atom(P), "q"))
+        with pytest.raises(TypeError):
+            to_graph(Lolli(None, Atom(P)))
+
+
+class TestToGraphIsTotal:
+    N = 100_000
+
+    def test_flat_tensor_chain(self):
+        g = to_graph(flat_tensor([L(f"x{i % 7}") for i in range(self.N)]))
+        assert type(g) is LogicalGraph
+        assert (len(g), len(g.edges)) == (self.N, 0)
+
+    def test_left_nested_implication_chain(self):
+        # ((x0 -o x1) -o x2) ...: each step joins the previous conclusion
+        # to the new atom, so the graph is one path.
+        g = to_graph(left_lolli([L(f"x{i % 7}") for i in range(self.N)]))
+        assert (len(g), len(g.edges)) == (self.N, self.N - 1)
+        assert max(len(g._succs[v]) for v in g.vertices()) == 1
+        assert max(len(g._preds[v]) for v in g.vertices()) == 1
+
+    def test_right_nested_implication_chain(self):
+        # x0 -o (x1 -o ... -o x{N-1}): every antecedent points at the one
+        # innermost conclusion.
+        g = to_graph(right_lolli([L(f"x{i % 7}") for i in range(self.N)]))
+        assert (len(g), len(g.edges)) == (self.N, self.N - 1)
+        (top,) = [v for v in g.vertices() if not g._succs[v]]
+        assert len(g._preds[top]) == self.N - 1
 
 
 class TestDecompose:

@@ -1,6 +1,7 @@
 """Terse construction helpers shared by the test modules."""
 
 from lgraph import LabelId, LogicalGraph, RawGraph, VertexId, validate
+from lgraph.mill import Atom, Lolli, Tensor
 
 
 def G(vertices: str, edges: str = "") -> RawGraph:
@@ -34,3 +35,30 @@ def L(name: str) -> LabelId:
 
 def names(vs) -> list[str]:
     return [str(v) for v in vs]
+
+
+# Chains built as Formula objects, for sizes where parse and Formula
+# hashing still recurse too deeply.
+
+def flat_tensor(labels):
+    """((l0 * l1) * l2) * ..., as the parser associates a flat tensor."""
+    f = Atom(labels[0])
+    for label in labels[1:]:
+        f = Tensor(f, Atom(label))
+    return f
+
+
+def left_lolli(labels):
+    """((l0 -o l1) -o l2) -o ..."""
+    f = Atom(labels[0])
+    for label in labels[1:]:
+        f = Lolli(f, Atom(label))
+    return f
+
+
+def right_lolli(labels):
+    """l0 -o (l1 -o (... -o ln))"""
+    f = Atom(labels[-1])
+    for label in reversed(labels[:-1]):
+        f = Lolli(Atom(label), f)
+    return f
