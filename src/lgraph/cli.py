@@ -275,6 +275,8 @@ def run(argv: list[str]) -> int:
         return _fail("io", str(exc))
     except core.Error as exc:
         return _fail("schema", str(exc))
+    except Exception as exc:  # last resort: still one line and exit code 2
+        return _fail("internal", f"{type(exc).__name__}: {exc}")
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

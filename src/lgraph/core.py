@@ -136,15 +136,15 @@ class RawGraph:
 
     def _wire(self, lab: dict, eset: frozenset):
         """Fill the slots; lab is owned and edge endpoints are labelled."""
-        verts = sorted(lab)
+        # Sorting by the plain string keeps the order and skips the
+        # Python-level comparison that VertexId's __eq__ brings with it,
+        # which is most of the cost of sorting many vertices.
+        verts = sorted(lab, key=str.__str__)
         preds: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
         succs: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
         for src, dst in eset:
             preds[dst].append(src)
             succs[src].append(dst)
-        # Sorting by the plain string keeps the order and skips the
-        # Python-level comparison that VertexId's __eq__ brings with it,
-        # which is most of the cost on a vertex of high degree.
         for lst in preds.values():
             if len(lst) > 1:
                 lst.sort(key=str.__str__)
@@ -538,8 +538,7 @@ def rename_graph(g: RawGraph, mapping: Mapping[VertexId, VertexId]) -> RawGraph:
 def to_json(g: RawGraph) -> str:
     """Canonical file form: sorted vertex keys, lexicographically sorted edges."""
     obj = {
-        "vertices": {v.name: l.name for v, l in
-                     sorted(g.labelling.items())},
+        "vertices": {v.name: l.name for v, l in g.labelling.items()},
         "edges": [[s.name, d.name] for s, d in g._sorted_edges],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)

@@ -1,26 +1,90 @@
 """Vertex alpha-equivalence: isomorphism search over vertex names.
 
 Two graphs are vertex alpha-equivalent when some bijection of their vertex
-names preserves labels and edges in both directions.  The search builds
-candidate maps incrementally while traversing the first graph backward from
-a seed vertex: at each visited vertex the unmapped predecessors are matched
-combinatorially against the predecessors of its image.  Symmetries in the
-graph (same-labelled siblings) are exactly what makes the candidate list
-branch, so the result is a list of maps rather than a single one.
-
-A candidate map is always injective and label-preserving; maps returned by
-``mk_graph_iso`` embed the backward closure of the seed into the second
-graph.  ``alpha_equiv`` drives the search over all minimal vertices to
-decide whole-graph equivalence.
+names preserves labels and edges in both directions.  All four entry points
+run one search.  A plan walks the first graph backward with ``traverse_dfs``,
+each vertex once, and lists one step per start vertex and per edge into a
+visited vertex; it does not depend on the choices made.  The search is an
+iterative depth-first backtracking over the steps that grows one map in
+place, undoes it on the way back, and yields maps lazily, in lexicographic
+order of the choices, each taken in ascending vertex order.  A map is always
+injective and label-preserving; ``alpha_equiv`` keeps only isomorphisms.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .core import CyclicEdges, RawGraph, UnknownVertex, VertexId, _find_cycle
 from .traversal import Action, traverse_dfs
 
 # A candidate isomorphism: an injective, label-preserving vertex map.
 VMap = dict[VertexId, VertexId]
+
+# (u, x, new): u is a predecessor of x, or a start when x is None, and the
+# pool is the predecessors of x's image, or the start pool.  A new u takes
+# an unused vertex of the pool with u's label; an old u's image must be in it.
+Step = tuple[VertexId, VertexId | None, bool]
+
+
+def _plan(g1: RawGraph, starts, mapped: set[VertexId]) -> list[Step]:
+    """The steps that map the backward closures of starts, each vertex once."""
+    steps: list[Step] = []
+    visited: set[VertexId] = set()
+
+    def visit(x: VertexId, _) -> tuple[Action, None]:
+        if x in visited:
+            return Action.SKIP, None
+        visited.add(x)
+        for p in g1._preds[x]:
+            steps.append((p, x, p not in mapped))
+            mapped.add(p)
+        return Action.CONTINUE, None
+
+    for v in starts:
+        if v not in mapped:
+            steps.append((v, None, True))
+            mapped.add(v)
+        traverse_dfs(visit, g1, v, None)
+    return steps
+
+
+def _extensions(g1: RawGraph, g2: RawGraph, steps: list[Step], m: VMap,
+                pool=()) -> Iterator[VMap]:
+    """Every extension of m along steps, depth-first, with m grown in place.
+
+    A yielded map is only valid until the generator is resumed.
+    """
+    used = set(m.values())
+    lab1, lab2 = g1.labelling, g2.labelling
+    preds2, edges2 = g2._preds, g2.edges
+
+    def choices(u, x, new):
+        """Make each choice of one step in turn, undoing it when resumed."""
+        if not new:
+            if (m[u] in pool) if x is None else ((m[u], m[x]) in edges2):
+                yield
+            return
+        label = lab1[u]
+        for c in (pool if x is None else preds2[m[x]]):
+            if c not in used and lab2[c] == label:
+                m[u] = c
+                used.add(c)
+                yield
+                del m[u]
+                used.discard(c)
+
+    if not steps:
+        yield m
+        return
+    stack = [choices(*steps[0])]
+    while stack:
+        if next(stack[-1], True):  # True: the deepest step has no choice left
+            stack.pop()
+        elif len(stack) == len(steps):
+            yield m
+        else:
+            stack.append(choices(*steps[len(stack)]))
 
 
 def vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
@@ -32,48 +96,18 @@ def vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
     members of asms2 with equal labels, one result per distinct assignment,
     in lexicographic order of the assignment.  An empty list means failure.
     """
-    asms2 = set(asms2)
-    unmapped: list[VertexId] = []
-    for v in sorted(set(asms1)):
-        w = m.get(v)
-        if w is None:
-            unmapped.append(v)
-        elif w not in asms2:
-            return []
-    if not unmapped:
-        return [dict(m)]
-    used = set(m.values())
-    free = [w for w in sorted(asms2) if w not in used]
-    if len(free) < len(unmapped):
-        return []
-    results: list[VMap] = []
-
-    def assign(i: int, current: VMap, taken: set[VertexId]):
-        if i == len(unmapped):
-            results.append(dict(current))
-            return
-        v = unmapped[i]
-        label = g1.labelling[v]
-        for w in free:
-            if w not in taken and g2.labelling[w] == label:
-                current[v] = w
-                taken.add(w)
-                assign(i + 1, current, taken)
-                del current[v]
-                taken.remove(w)
-
-    assign(0, dict(m), set())
-    return results
+    steps = [(v, None, v not in m) for v in sorted(set(asms1))]
+    pool = sorted(set(asms2))
+    return [dict(e) for e in _extensions(g1, g2, steps, dict(m), pool)]
 
 
 def mk_graph_iso(g1: RawGraph, v1: VertexId, g2: RawGraph, v2: VertexId,
                  seed: VMap | None = None) -> list[VMap]:
     """All embeddings of v1's backward closure into g2 that send v1 to v2.
 
-    Traverses g1 backward from v1; at each vertex x every candidate map is
-    extended by matching x's predecessors against the predecessors of x's
-    image.  An exhausted candidate list stops the traversal early.  ``seed``
-    optionally supplies assignments that every candidate must extend.
+    Walks g1 backward from v1, each vertex once, matching the predecessors
+    of each visited vertex x against the predecessors of x's image.
+    ``seed`` optionally supplies assignments that every embedding extends.
     """
     if v1 not in g1:
         raise UnknownVertex(v1)
@@ -81,24 +115,12 @@ def mk_graph_iso(g1: RawGraph, v1: VertexId, g2: RawGraph, v2: VertexId,
         raise UnknownVertex(v2)
     if g1.labelling[v1] != g2.labelling[v2]:
         return []
-    initial = dict(seed) if seed else {}
-    if initial.get(v1, v2) != v2 or v2 in set(initial.values()) - {initial.get(v1)}:
+    m = dict(seed) if seed else {}
+    if m.get(v1, v2) != v2 or v2 in set(m.values()) - {m.get(v1)}:
         return []
-    initial[v1] = v2
-    preds1, preds2 = g1._preds, g2._preds
-
-    def iso_trav(x: VertexId, vmaps: list[VMap]) -> tuple[Action, list[VMap]]:
-        if not vmaps:
-            return Action.STOP, []
-        asms1 = preds1[x]
-        if not asms1:
-            return Action.CONTINUE, vmaps
-        out: list[VMap] = []
-        for m in vmaps:
-            out.extend(vertex_match_perms(g1, asms1, g2, preds2[m[x]], m))
-        return Action.CONTINUE, out
-
-    return traverse_dfs(iso_trav, g1, v1, [initial])
+    m[v1] = v2
+    steps = _plan(g1, [v1], set(m))
+    return [dict(e) for e in _extensions(g1, g2, steps, m)]
 
 
 def _verified(m: VMap, g1: RawGraph, g2: RawGraph) -> bool:
@@ -110,63 +132,39 @@ def _verified(m: VMap, g1: RawGraph, g2: RawGraph) -> bool:
     return {(m[s], m[d]) for s, d in g1.edges} == g2.edges
 
 
-def _search(g1: RawGraph, g2: RawGraph, find_all: bool) -> list[VMap]:
+def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterator[VMap]:
     if len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
-        return []
+        return
     if sorted(g1.labelling.values()) != sorted(g2.labelling.values()):
-        return []
+        return
     minimals1 = [v for v in g1._sorted_vertices if not g1._succs[v]]
     minimals2 = [v for v in g2._sorted_vertices if not g2._succs[v]]
     if len(minimals1) != len(minimals2):
-        return []
-    if not minimals1 and g1._sorted_vertices:
-        raise CyclicEdges(_find_cycle(g1))
-    results: list[VMap] = []
-
-    def extend(m: VMap, i: int) -> bool:
-        if i == len(minimals1):
-            if len(m) != len(g1):
-                # Minimal vertices cover every vertex of a DAG; falling
-                # short means the leftover part is cyclic.
-                raise CyclicEdges(_find_cycle(g1))
-            if _verified(m, g1, g2):
-                results.append(m)
-                return not find_all
-            return False
-        v1 = minimals1[i]
-        used = set(m.values())
-        for v2 in minimals2:
-            if v2 in used or g2.labelling[v2] != g1.labelling[v1]:
-                continue
-            for cand in mk_graph_iso(g1, v1, g2, v2, seed=m):
-                if extend(cand, i + 1):
-                    return True
-        return False
-
-    extend({}, 0)
-    return results
+        return
+    cycle = _find_cycle(g1)
+    if cycle is not None:
+        raise CyclicEdges(cycle)
+    steps = _plan(g1, minimals1, set())
+    for m in _extensions(g1, g2, steps, {}, minimals2):
+        if _verified(m, g1, g2):
+            yield dict(m)
 
 
 def alpha_equiv(g1: RawGraph, g2: RawGraph) -> VMap | None:
-    """A total label- and edge-preserving bijection between the graphs, if any.
+    """The first total label- and edge-preserving bijection, if any.
 
-    Quick-rejects on label multiset or edge count, then matches the minimal
-    vertices of g1 against label-compatible minimal vertices of g2, growing
-    one map through mk_graph_iso with backtracking.  Acyclic graphs only:
-    every vertex of a DAG sits above some minimal vertex, which is what
-    makes the driver complete; a cyclic input raises CyclicEdges whenever
-    the answer would depend on the cyclic part (a None from the quick
-    rejects is already correct for any input).
+    Quick-rejects on vertex and edge counts, label multiset and number of
+    minimal vertices; past those, a cyclic g1 raises CyclicEdges.  The search
+    maps g1's minimal vertices in order, each followed by its backward
+    closure, and stops at the first map that verifies as an isomorphism.
     """
-    found = _search(g1, g2, find_all=False)
-    return found[0] if found else None
+    return next(_isomorphisms(g1, g2), None)
 
 
 def alpha_equiv_all(g1: RawGraph, g2: RawGraph) -> list[VMap]:
     """Every total isomorphism between the graphs, deterministically ordered.
 
-    Same backtracking driver as alpha_equiv, continued past the first hit.
-    The list length is the graphs' symmetry count, which is what bounds the
-    search, so this stays cheap whenever the answer itself is small.
+    The search of alpha_equiv run to the end, so the first map is the one
+    alpha_equiv returns.
     """
-    return _search(g1, g2, find_all=True)
+    return list(_isomorphisms(g1, g2))

@@ -3,17 +3,23 @@
 Everything here is deliberately literal and slow: direct recursion, full
 materialisation of subgraphs, exhaustive permutation search.  These are the
 second route against which the production algorithms are checked; they must
-not share code with the package beyond the data types.  The one exception is
-``ref_to_graph``, whose definition is the fold of the package's graph algebra:
-the translation must name vertices exactly as that fold does.
+not share code with the package beyond the data types.  There are two
+exceptions.  ``ref_to_graph``'s definition is the fold of the package's graph
+algebra: the translation must name vertices exactly as that fold does.
+``ref_vertex_match_perms``, ``ref_mk_graph_iso`` and ``ref_alpha_equiv_all``
+are the package's earlier list-based isomorphism search, kept as it was on
+``traverse_dfs``: it builds every permutation and every partial map eagerly
+and loops forever on a cyclic graph, but its output order is the one the
+package's lazy search must reproduce map for map.
 """
 
 from itertools import permutations
 
 from lgraph import algebra
-from lgraph.core import RawGraph
+from lgraph.core import (CyclicEdges, RawGraph, UnknownVertex, VertexId,
+                         _find_cycle)
 from lgraph.mill import Atom, Lolli, Tensor, Unit
-from lgraph.traversal import Action
+from lgraph.traversal import Action, traverse_dfs
 
 
 def plain(g: RawGraph):
@@ -179,3 +185,142 @@ def ref_to_graph(f):
         return algebra.implies(ref_to_graph(f.left),
                                ref_to_graph(f.right)).graph
     raise TypeError(f"not a formula: {f!r}")
+
+
+# A candidate isomorphism: an injective, label-preserving vertex map.
+VMap = dict[VertexId, VertexId]
+
+
+def ref_vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
+                       m: VMap) -> list[VMap]:
+    """All extensions of m matching the vertex set asms1 into asms2.
+
+    Already-mapped members of asms1 must land inside asms2 or there is no
+    extension.  The unmapped members are assigned injectively to unused
+    members of asms2 with equal labels, one result per distinct assignment,
+    in lexicographic order of the assignment.  An empty list means failure.
+    """
+    asms2 = set(asms2)
+    unmapped: list[VertexId] = []
+    for v in sorted(set(asms1)):
+        w = m.get(v)
+        if w is None:
+            unmapped.append(v)
+        elif w not in asms2:
+            return []
+    if not unmapped:
+        return [dict(m)]
+    used = set(m.values())
+    free = [w for w in sorted(asms2) if w not in used]
+    if len(free) < len(unmapped):
+        return []
+    results: list[VMap] = []
+
+    def assign(i: int, current: VMap, taken: set[VertexId]):
+        if i == len(unmapped):
+            results.append(dict(current))
+            return
+        v = unmapped[i]
+        label = g1.labelling[v]
+        for w in free:
+            if w not in taken and g2.labelling[w] == label:
+                current[v] = w
+                taken.add(w)
+                assign(i + 1, current, taken)
+                del current[v]
+                taken.remove(w)
+
+    assign(0, dict(m), set())
+    return results
+
+
+def ref_mk_graph_iso(g1: RawGraph, v1: VertexId, g2: RawGraph, v2: VertexId,
+                 seed: VMap | None = None) -> list[VMap]:
+    """All embeddings of v1's backward closure into g2 that send v1 to v2.
+
+    Traverses g1 backward from v1; at each vertex x every candidate map is
+    extended by matching x's predecessors against the predecessors of x's
+    image.  An exhausted candidate list stops the traversal early.  ``seed``
+    optionally supplies assignments that every candidate must extend.
+    """
+    if v1 not in g1:
+        raise UnknownVertex(v1)
+    if v2 not in g2:
+        raise UnknownVertex(v2)
+    if g1.labelling[v1] != g2.labelling[v2]:
+        return []
+    initial = dict(seed) if seed else {}
+    if initial.get(v1, v2) != v2 or v2 in set(initial.values()) - {initial.get(v1)}:
+        return []
+    initial[v1] = v2
+    preds1, preds2 = g1._preds, g2._preds
+
+    def iso_trav(x: VertexId, vmaps: list[VMap]) -> tuple[Action, list[VMap]]:
+        if not vmaps:
+            return Action.STOP, []
+        asms1 = preds1[x]
+        if not asms1:
+            return Action.CONTINUE, vmaps
+        out: list[VMap] = []
+        for m in vmaps:
+            out.extend(ref_vertex_match_perms(g1, asms1, g2, preds2[m[x]], m))
+        return Action.CONTINUE, out
+
+    return traverse_dfs(iso_trav, g1, v1, [initial])
+
+
+def _ref_verified(m: VMap, g1: RawGraph, g2: RawGraph) -> bool:
+    """Total bijection, label-preserving, edges preserved in both directions."""
+    if len(m) != len(g1) or set(m.values()) != set(g2.labelling):
+        return False
+    if any(g1.labelling[v] != g2.labelling[w] for v, w in m.items()):
+        return False
+    return {(m[s], m[d]) for s, d in g1.edges} == g2.edges
+
+
+def _ref_search(g1: RawGraph, g2: RawGraph, find_all: bool) -> list[VMap]:
+    if len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
+        return []
+    if sorted(g1.labelling.values()) != sorted(g2.labelling.values()):
+        return []
+    minimals1 = [v for v in g1._sorted_vertices if not g1._succs[v]]
+    minimals2 = [v for v in g2._sorted_vertices if not g2._succs[v]]
+    if len(minimals1) != len(minimals2):
+        return []
+    if not minimals1 and g1._sorted_vertices:
+        raise CyclicEdges(_find_cycle(g1))
+    results: list[VMap] = []
+
+    def extend(m: VMap, i: int) -> bool:
+        if i == len(minimals1):
+            if len(m) != len(g1):
+                # Minimal vertices cover every vertex of a DAG; falling
+                # short means the leftover part is cyclic.
+                raise CyclicEdges(_find_cycle(g1))
+            if _ref_verified(m, g1, g2):
+                results.append(m)
+                return not find_all
+            return False
+        v1 = minimals1[i]
+        used = set(m.values())
+        for v2 in minimals2:
+            if v2 in used or g2.labelling[v2] != g1.labelling[v1]:
+                continue
+            for cand in ref_mk_graph_iso(g1, v1, g2, v2, seed=m):
+                if extend(cand, i + 1):
+                    return True
+        return False
+
+    extend({}, 0)
+    return results
+
+
+def ref_alpha_equiv(g1: RawGraph, g2: RawGraph) -> VMap | None:
+    """The first map of the list-based search, or None."""
+    found = _ref_search(g1, g2, find_all=False)
+    return found[0] if found else None
+
+
+def ref_alpha_equiv_all(g1: RawGraph, g2: RawGraph) -> list[VMap]:
+    """Every map of the list-based search, in its order."""
+    return _ref_search(g1, g2, find_all=True)

@@ -536,3 +536,20 @@ def test_add_of_a_large_graph_to_itself():
     assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
     print(f"\nacceptance add-renaming: PASS (n={sizes}: "
           + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
+
+
+def test_linear_scaling_of_alpha_equiv():
+    # Every vertex of a same-label chain has one candidate image, so the
+    # search is one pass down the chain; copying the partial map and
+    # rebuilding its image set at each vertex made it quadratic (955 ms at
+    # 5,000 vertices).
+    sizes = [1_000, 3_162, 10_000, 31_623]
+    times = []
+    for n in sizes:
+        g, _ = _chain(n)
+        times.append(_best_of(3, lambda: alpha_equiv(g, g)))
+        assert alpha_equiv(g, g) == {v: v for v in g.vertices()}
+    slope = _loglog_slope(sizes, times)
+    assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
+    print(f"\nacceptance alpha_equiv scaling: PASS (n={sizes}: "
+          + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")

@@ -154,6 +154,26 @@ class TestEquivAndIso:
         code, out, _ = invoke(capsys, "iso", a, b, "--count")
         assert (code, out) == (1, "0\n")
 
+    def test_iso_on_a_cycle_is_an_error(self, capsys, tmp_path):
+        c = write_graph(tmp_path, "c.json", G("u:p w:p z:q", "u>w w>u w>z"))
+        code, out, err = invoke(capsys, "iso", c, c)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:cyclic:")
+        assert err.count("\n") == 1
+
+
+class TestLastResort:
+    def test_unexpected_exception_is_one_internal_line(self, capsys,
+                                                        monkeypatch):
+        def overflow(text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("lgraph.mill.parse", overflow)
+        code, out, err = invoke(capsys, "parse", "p -o q")
+        assert (code, out) == (2, "")
+        assert err == "error:internal: RecursionError: " \
+                      "maximum recursion depth exceeded\n"
+
 
 class TestCombineCommands:
     def test_add_and_output_file(self, capsys, tmp_path):

@@ -1,14 +1,18 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refimpl
-from lgraph import (CyclicEdges, RawGraph, UnknownVertex, alpha_equiv,
-                    alpha_equiv_all, mk_graph_iso, naive_iso, parse,
-                    rename_apart, to_graph, vertex_match_perms)
+from lgraph import (CyclicEdges, LabelId, RawGraph, UnknownVertex, VertexId,
+                    alpha_equiv, alpha_equiv_all, mk_graph_iso, naive_iso,
+                    parse, rename_apart, rename_graph, to_graph,
+                    vertex_match_perms)
+from lgraph.mill import Atom, Lolli, Tensor
 from strategies import dag_graphs, valid_graphs
-from util import G, L, V
+from util import G, L, V, flat_tensor
 
 # Two same-labelled premises into one conclusion: the smallest graph with
 # a nontrivial symmetry (exactly two automorphisms).
@@ -214,3 +218,137 @@ def test_exhaustive_small_structures_agree_with_reference():
         for h in acyclic[::5]:
             assert (alpha_equiv(g, h) is not None) == \
                 bool(refimpl.ref_all_isos(g, h))
+
+
+@st.composite
+def renamed_copies(draw, graphs=dag_graphs()):
+    """A graph and a copy under a random bijection onto fresh names."""
+    g = draw(graphs)
+    names = draw(st.permutations([f"r{i}" for i in range(len(g))]))
+    return g, rename_graph(g, {v: VertexId(n)
+                               for v, n in zip(g.vertices(), names)})
+
+
+class TestSameOrderAsListSearch:
+    """The lazy search returns the list-based search's maps, in its order.
+
+    The first map is the witness ``lg iso`` and ``lg equiv`` print, so the
+    comparison is of whole lists.  DAGs only: the list-based search never
+    returns on a cyclic graph.
+    """
+
+    @staticmethod
+    def assert_same_isomorphisms(g, h):
+        assert alpha_equiv_all(g, h) == refimpl.ref_alpha_equiv_all(g, h)
+        assert alpha_equiv(g, h) == refimpl.ref_alpha_equiv(g, h)
+
+    @given(dag_graphs(), dag_graphs())
+    @settings(max_examples=150)
+    def test_dag_pairs(self, g, h):
+        self.assert_same_isomorphisms(g, h)
+        self.assert_same_isomorphisms(g, g)
+
+    @given(valid_graphs(), valid_graphs())
+    @settings(max_examples=100)
+    def test_valid_graph_pairs(self, g, h):
+        self.assert_same_isomorphisms(g, h)
+
+    @given(renamed_copies())
+    @settings(max_examples=150)
+    def test_renamed_shuffled_copies(self, pair):
+        g, h = pair
+        self.assert_same_isomorphisms(g, h)
+        self.assert_same_isomorphisms(h, g)
+
+    @given(renamed_copies(valid_graphs()))
+    @settings(max_examples=60)
+    def test_renamed_shuffled_valid_copies(self, pair):
+        self.assert_same_isomorphisms(*pair)
+
+    @given(dag_graphs(), dag_graphs(), st.data())
+    @settings(max_examples=80)
+    def test_every_mk_graph_iso_call(self, g, h, data):
+        for g2 in (g, h):
+            images = data.draw(st.lists(st.sampled_from(g2.vertices()),
+                                        min_size=len(g), max_size=len(g))
+                               if g2.vertices() else st.just([]))
+            for v1, v2 in itertools.product(g.vertices(), g2.vertices()):
+                assert mk_graph_iso(g, v1, g2, v2) == \
+                    refimpl.ref_mk_graph_iso(g, v1, g2, v2)
+                for s1, s2 in zip(g.vertices(), images):
+                    seed = {s1: s2}
+                    assert mk_graph_iso(g, v1, g2, v2, seed) == \
+                        refimpl.ref_mk_graph_iso(g, v1, g2, v2, seed)
+
+    @given(renamed_copies(), st.data())
+    @settings(max_examples=150)
+    def test_vertex_match_perms_calls(self, pair, data):
+        g, h = pair
+        vs1, vs2 = list(g.vertices()), list(h.vertices())
+        asms1 = data.draw(st.lists(st.sampled_from(vs1), max_size=6)
+                          if vs1 else st.just([]))
+        asms2 = data.draw(st.lists(st.sampled_from(vs2), max_size=6)
+                          if vs2 else st.just([]))
+        m = data.draw(st.dictionaries(st.sampled_from(vs1),
+                                      st.sampled_from(vs2), max_size=3)
+                      if vs1 else st.just({}))
+        assert vertex_match_perms(g, asms1, h, asms2, m) == \
+            refimpl.ref_vertex_match_perms(g, asms1, h, asms2, m)
+
+
+def _star(leaves, same_label):
+    """One conclusion z with the given number of premises."""
+    tips = [VertexId(f"t{i:05d}") for i in range(leaves)]
+    labelling = {t: LabelId("p" if same_label else f"p{i}")
+                 for i, t in enumerate(tips)}
+    labelling[VertexId("z")] = LabelId("z")
+    return RawGraph(labelling, [(t, VertexId("z")) for t in tips])
+
+
+def _layered(levels):
+    """((a0 * b0) -o (a1 * b1)) -o ...: each pair implies the next pair, so
+    the number of paths doubles with each level."""
+    def pair(i):
+        return Tensor(Atom(LabelId(f"a{i}")), Atom(LabelId(f"b{i}")))
+    f = pair(0)
+    for i in range(1, levels):
+        f = Lolli(f, pair(i))
+    return to_graph(f)
+
+
+def _timed_self_iso(g):
+    started = time.perf_counter()
+    m = alpha_equiv(g, g)
+    took = time.perf_counter() - started
+    assert m is not None
+    return took
+
+
+class TestTotality:
+    CYCLE = G("u:p w:p z:q", "u>w w>u w>z")
+
+    def test_cycle_above_a_conclusion_raises(self):
+        with pytest.raises(CyclicEdges):
+            alpha_equiv(self.CYCLE, self.CYCLE)
+        with pytest.raises(CyclicEdges):
+            alpha_equiv_all(self.CYCLE, self.CYCLE)
+
+    def test_mk_graph_iso_ends_on_a_cycle(self):
+        maps = mk_graph_iso(self.CYCLE, V("z"), self.CYCLE, V("z"))
+        assert maps == [{V("z"): V("z"), V("w"): V("w"), V("u"): V("u")}]
+
+    def test_paths_doubling_per_level(self):
+        g = _layered(40)
+        assert len(g) == 80
+        assert _timed_self_iso(g) < 0.5
+
+    def test_star_of_same_label_leaves(self):
+        assert _timed_self_iso(_star(12, same_label=True)) < 0.5
+
+    def test_wide_star_of_distinct_leaves(self):
+        assert _timed_self_iso(_star(1_500, same_label=False)) < 2.0
+
+    def test_long_tensor_chain(self):
+        g = to_graph(flat_tensor([LabelId(f"a{i}") for i in range(1_500)]))
+        assert len(g) == 1_500
+        assert _timed_self_iso(g) < 2.0
