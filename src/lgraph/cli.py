@@ -191,7 +191,7 @@ def _cmd_enumerate(args) -> int:
     skipped = 0
     for f in formulas:
         try:
-            key = mill.print_formula(mill.normalize(f))
+            key = mill._normal_key(f)
         except NotInFragment:
             skipped += 1
             continue
@@ -221,11 +221,10 @@ def run(argv: list[str]) -> int:
             return 0
         if args.command == "to-formula":
             g = core.validate(_read_graph_file(args.graph))
-            print(mill.print_formula(mill.to_formula(g)))
+            print(mill.canonical_key(g))
             return 0
         if args.command == "normalize":
-            print(mill.print_formula(mill.normalize(
-                _read_formula_arg(args.formula))))
+            print(mill._normal_key(_read_formula_arg(args.formula)))
             return 0
         if args.command == "equiv":
             return _cmd_equiv(args)

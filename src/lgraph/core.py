@@ -167,7 +167,10 @@ class RawGraph:
     def _sorted_edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
         cached = self._edge_cache
         if cached is None:
-            cached = tuple(sorted(self.edges))
+            # By plain strings, as in _wire: the same order, without a
+            # call to VertexId's __eq__ in every tuple comparison.
+            cached = tuple(sorted(self.edges, key=lambda e: (
+                str.__str__(e[0]), str.__str__(e[1]))))
             object.__setattr__(self, "_edge_cache", cached)
         return cached
 

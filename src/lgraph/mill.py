@@ -8,13 +8,14 @@ graph into conclusion cliques: conclusions sharing one direct-predecessor
 set form the tensor on the right of one implication whose left side is the
 decomposition of that shared predecessor set's own subgraph.
 
-Because clique members and sibling parts are emitted in a sorted order
-independent of vertex names, the graph-to-formula direction yields one
-canonical formula per alpha-equivalence class; ``normalize`` composes the
-two directions to canonicalise formulas, collapsing the
+Clique members and sibling parts are emitted in a sorted order independent
+of vertex names, so the printed canonical formula, the canonical key, is
+the one canonical form per alpha-equivalence class: ``to_formula`` parses
+it, and ``normalize`` reads it off a formula's graph, collapsing the
 commutativity/associativity/currying symmetries.  Formulas whose graphs
-fail validation (implication is not closed over well-formed graphs) have no
-canonical form; ``normalize`` raises NotInFragment for them.
+fail validation have no canonical form; ``normalize`` raises NotInFragment.
+Parsing, printing, translation and the canonical walk run on explicit
+stacks, so any depth works; one table, ``_SYNTAX``, sets the parentheses.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Sequence, Union
 
 from . import algebra
@@ -110,82 +112,86 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    # lolli : tensor ('-o' lolli)?     right-associative
-    # tensor: primary ('*' primary)*   left-associative, binds tighter
-    # primary: '1' | atom | '(' lolli ')'
+# The concrete syntax, for each connective: its infix text, its own
+# precedence, and the precedence its left and its right operand need to go
+# without parentheses.  Atoms and 1 have precedence _ATOM.  So '*' binds
+# tighter than '-o', '*' associates to the left and '-o' to the right.
+_SYNTAX = {Tensor: (" * ", 2, 2, 3), Lolli: (" -o ", 1, 2, 1)}
+_ATOM = 3
+_INFIX = {text.strip(): kind for kind, (text, *_) in _SYNTAX.items()}
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.lolli()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(pos, "end of input", value)
-        return f
-
-    def lolli(self) -> Formula:
-        left = self.tensor()
-        if self.peek()[0] == "-o":
-            self.take()
-            return Lolli(left, self.lolli())
-        return left
-
-    def tensor(self) -> Formula:
-        f = self.primary()
-        while self.peek()[0] == "*":
-            self.take()
-            f = Tensor(f, self.primary())
-        return f
-
-    def primary(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "atom":
-            return Atom(LabelId(value))
-        if kind == "unit":
-            return Unit()
-        if kind == "(":
-            f = self.lolli()
-            kind, value, pos = self.take()
-            if kind != ")":
-                raise ParseError(pos, "')'", value)
-            return f
-        raise ParseError(pos, "an atom, '1', or '('", value)
+def _join(kind, left: tuple[str, int], right: tuple[str, int]
+          ) -> tuple[str, int]:
+    """The text and precedence of kind(left, right) from its operands'."""
+    infix, prec, need_left, need_right = _SYNTAX[kind]
+    left_text = left[0] if left[1] >= need_left else f"({left[0]})"
+    right_text = right[0] if right[1] >= need_right else f"({right[0]})"
+    return f"{left_text}{infix}{right_text}", prec
 
 
 def parse(text: str) -> Formula:
-    """Parse the concrete syntax: '*' binds tighter than right-associative '-o'."""
-    return _Parser(text).parse()
+    """Parse the concrete syntax: '*' binds tighter than right-associative '-o'.
+
+    Operator precedence over two explicit stacks, operands and pending
+    '(' and connectives, so any nesting depth parses.  A connective first
+    applies the pending ones whose result it takes as its left operand
+    without parentheses: both '*' and '-o' apply the pending '*'.  A ')' and
+    the end of input apply all of them back to the open parenthesis.
+    """
+    operands: list = []
+    pending: list = []  # None for '(', else the connective's class
+    want_operand = True
+    for kind, value, pos in _tokenize(text):
+        if want_operand:
+            if kind == "(":
+                pending.append(None)
+                continue
+            if kind != "atom" and kind != "unit":
+                raise ParseError(pos, "an atom, '1', or '('", value)
+            operands.append(Atom(LabelId(value)) if kind == "atom" else Unit())
+            want_operand = False
+            continue
+        op = _INFIX.get(kind)
+        need = 0 if op is None else _SYNTAX[op][2]
+        while pending and pending[-1] is not None and \
+                _SYNTAX[pending[-1]][1] >= need:
+            right = operands.pop()
+            operands.append(pending.pop()(operands.pop(), right))
+        if op is not None:
+            pending.append(op)
+            want_operand = True
+        elif kind == ")" and pending:
+            pending.pop()
+        elif kind == "end" and not pending:
+            return operands[0]
+        else:
+            raise ParseError(pos, "')'" if pending else "end of input", value)
 
 
 def print_formula(f: Formula) -> str:
-    """Render with minimal parentheses; parse(print_formula(f)) == f."""
-    return _render(f, 0)
+    """Render with minimal parentheses; parse(print_formula(f)) == f.
 
-
-def _render(f: Formula, context: int) -> str:
-    match f:
-        case Unit():
-            return "1"
-        case Atom(label):
-            return label.name
-        case Tensor(left, right):
-            s = f"{_render(left, 2)} * {_render(right, 3)}"
-            return f"({s})" if context > 2 else s
-        case Lolli(left, right):
-            s = f"{_render(left, 2)} -o {_render(right, 1)}"
-            return f"({s})" if context > 1 else s
-    raise TypeError(f"not a formula: {f!r}")
+    A post-order walk over an explicit stack that folds ``_join``, so any
+    nesting depth prints.
+    """
+    done: list[tuple[str, int]] = []
+    todo: list = [f]
+    while todo:
+        x = todo.pop()
+        kind = type(x)
+        if kind is Atom:
+            done.append((x.label.name, _ATOM))
+        elif kind is Unit:
+            done.append(("1", _ATOM))
+        elif kind is Tensor or kind is Lolli:
+            todo += (kind, x.right, x.left)
+        elif x is Tensor or x is Lolli:
+            right = done.pop()
+            done.append(_join(x, done.pop(), right))
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+    return done[0][0]
 
 
 def _string_order(m: int) -> Sequence[int]:
@@ -216,10 +222,6 @@ def _vertex_names(n: int) -> list[VertexId]:
     for i in range(len(_NAMES), n):
         _NAMES.append(VertexId(f"v{i}"))
     return _NAMES
-
-
-# Markers for the combining step of a connective on the work stack.
-_ADD, _IMPLIES = object(), object()
 
 
 def to_graph(f: Formula) -> RawGraph:
@@ -259,10 +261,8 @@ def to_graph(f: Formula) -> RawGraph:
         elif kind is Unit:
             results.append(([], []))
         elif kind is Tensor or kind is Lolli:
-            todo.append(_ADD if kind is Tensor else _IMPLIES)
-            todo.append(x.right)
-            todo.append(x.left)
-        elif x is _ADD or x is _IMPLIES:
+            todo += (kind, x.right, x.left)
+        elif x is Tensor or x is Lolli:
             k_slots, k_ends = results.pop()
             h_slots, h_ends = results.pop()
             a, b = len(h_slots), len(k_slots)
@@ -274,7 +274,7 @@ def to_graph(f: Formula) -> RawGraph:
                 low = slots[:b]
                 slots[:b] = k_slots
                 slots.extend(_in_string_order(low))
-            if x is _IMPLIES:
+            if x is Lolli:
                 has_lolli = True
                 edges.extend(product(h_ends, k_ends))
                 ends = k_ends if k_ends else h_ends
@@ -313,58 +313,51 @@ class Decomposition:
     parts: tuple[DecompositionPart, ...]
 
 
-def _tensor_all(formulas: list[Formula]) -> Formula:
-    if not formulas:
-        return Unit()
-    result = formulas[-1]
-    for f in reversed(formulas[:-1]):
-        result = Tensor(f, result)
-    return result
-
-
-# Precedences matching _render: parenthesise a piece exactly when its
-# precedence is below the context it is placed in.
-_ATOMIC, _TENSOR, _LOLLI = 9, 2, 1
-
-
-def _tensor_text(parts: list[tuple[str, int]]) -> tuple[str, int]:
-    """Right-nested tensor text from (text, precedence) pieces."""
-    if not parts:
-        return "1", _ATOMIC
-    text, prec = parts[-1]
-    for left_text, left_prec in reversed(parts[:-1]):
-        right = f"({text})" if prec < 3 else text
-        left = f"({left_text})" if left_prec < 2 else left_text
-        text, prec = f"{left} * {right}", _TENSOR
-    return text, prec
+def _tensor_text(pieces: list[tuple[str, int]]) -> tuple[str, int]:
+    """The right-nested tensor of (text, precedence) pieces; 1 for none."""
+    if not pieces:
+        return "1", _ATOM
+    tensor = pieces[-1]
+    for piece in reversed(pieces[:-1]):
+        tensor = _join(Tensor, piece, tensor)
+    return tensor
 
 
 def _canonicalize(g: LogicalGraph, tree: PeelTree
-                  ) -> tuple[Decomposition, Formula, str, int]:
-    """Sort a peel tree canonically, rendering each node's formula once.
+                  ) -> tuple[Decomposition, str]:
+    """Sort a peel tree canonically and compose the canonical key.
 
-    Clique members tensor in ascending label order; sibling parts sort by
-    the text of their rendered formulas.  Text is composed bottom-up and
-    matches print_formula of the returned formula exactly.
+    Clique members tensor in ascending label order, implied by their
+    assumptions' text when there are any; sibling parts sort by their text
+    and tensor together.  A post-order walk over an explicit stack: a list
+    opens a level, a clique closes the part it heads and an int n closes the
+    level of the last n parts, so any depth is walked.
     """
-    rendered: list[tuple[str, int, DecompositionPart, Formula]] = []
-    for clique, children in tree:
-        sub, sub_formula, sub_text, sub_prec = _canonicalize(g, children)
-        labels = sorted(g.labelling[v] for v in clique)
-        tensor = _tensor_all([Atom(l) for l in labels])
-        tensor_text, tensor_prec = _tensor_text([(l.name, _ATOMIC) for l in labels])
-        if not sub.parts:
-            formula, text, prec = tensor, tensor_text, tensor_prec
+    labelling = g.labelling
+    done: list = []  # (text, precedence, part or level's decomposition)
+    todo: list = [tree]
+    while todo:
+        x = todo.pop()
+        if type(x) is list:
+            todo.append(len(x))
+            for clique, children in reversed(x):
+                todo += (clique, children)
+        elif type(x) is tuple:
+            sub_text, sub_prec, sub = done.pop()
+            labels = sorted(labelling[v] for v in x)
+            text, prec = _tensor_text([(l.name, _ATOM) for l in labels])
+            if sub.parts:
+                text, prec = _join(Lolli, (sub_text, sub_prec), (text, prec))
+            done.append((text, prec, DecompositionPart(x, sub)))
         else:
-            formula = Lolli(sub_formula, tensor)
-            left = f"({sub_text})" if sub_prec < 2 else sub_text
-            text, prec = f"{left} -o {tensor_text}", _LOLLI
-        rendered.append((text, prec, DecompositionPart(clique, sub), formula))
-    rendered.sort(key=lambda item: item[0])
-    node_formula = _tensor_all([f for _, _, _, f in rendered])
-    node_text, node_prec = _tensor_text([(t, p) for t, p, _, _ in rendered])
-    return (Decomposition(tuple(p for _, _, p, _ in rendered)), node_formula,
-            node_text, node_prec)
+            cut = len(done) - x
+            parts = sorted(done[cut:], key=itemgetter(0))
+            del done[cut:]
+            text, prec = _tensor_text([(t, p) for t, p, _ in parts])
+            done.append((text, prec,
+                         Decomposition(tuple(p for _, _, p in parts))))
+    text, _, decomposition = done.pop()
+    return decomposition, text
 
 
 def decompose(g: LogicalGraph) -> Decomposition:
@@ -376,32 +369,34 @@ def decompose(g: LogicalGraph) -> Decomposition:
     return _canonicalize(g, peel_tree(g))[0]
 
 
-def to_formula(g: LogicalGraph) -> Formula:
-    """The canonical formula of a validated graph.
-
-    Each clique becomes the tensor of its labels, implied by the formula of
-    its assumptions (no implication wrapper when there are none); sibling
-    parts tensor together.  Output depends only on the alpha-equivalence
-    class of the graph.
-    """
+def canonical_key(g: LogicalGraph) -> str:
+    """The printed canonical formula; equal exactly on alpha-equivalent graphs."""
     return _canonicalize(g, peel_tree(g))[1]
 
 
-def normalize(f: Formula) -> Formula:
-    """The canonical representative of f's symmetry class.
+def to_formula(g: LogicalGraph) -> Formula:
+    """The canonical formula of a validated graph: its canonical key, parsed.
 
-    Translates to a graph, validates, and reads the formula back; raises
-    NotInFragment (carrying the offending graph) when the translation is
-    not well-formed.  Idempotent on its domain.
+    Output depends only on the alpha-equivalence class of the graph.
     """
+    return parse(canonical_key(g))
+
+
+def _normal_key(f: Formula) -> str:
+    """The canonical key of f's graph; NotInFragment when it is not valid."""
     g = to_graph(f)
     try:
         valid = validate(g)
     except Error as exc:
         raise NotInFragment(g, exc) from None
-    return to_formula(valid)
+    return canonical_key(valid)
 
 
-def canonical_key(g: LogicalGraph) -> str:
-    """The printed canonical formula; equal exactly on alpha-equivalent graphs."""
-    return _canonicalize(g, peel_tree(g))[2]
+def normalize(f: Formula) -> Formula:
+    """The canonical representative of f's symmetry class.
+
+    Translates to a graph, validates, and parses the canonical key back;
+    raises NotInFragment (carrying the offending graph) when the
+    translation is not well-formed.  Idempotent on its domain.
+    """
+    return parse(_normal_key(f))

@@ -10,15 +10,21 @@ algebra: the translation must name vertices exactly as that fold does.
 are the package's earlier list-based isomorphism search, kept as it was on
 ``traverse_dfs``: it builds every permutation and every partial map eagerly
 and loops forever on a cyclic graph, but its output order is the one the
-package's lazy search must reproduce map for map.
+package's lazy search must reproduce map for map.  ``ref_parse``,
+``ref_print_formula`` and ``ref_canonicalize`` are the package's earlier
+recursive parser, printer and canonical walk, kept as they were: they run
+out of stack on deep formulas, but their outputs, errors included, are the
+ones the package's stack walks must reproduce exactly.  ``ref_parse`` reads
+the package's own tokens, since tokenising is not what it checks.
 """
 
 from itertools import permutations
 
 from lgraph import algebra
-from lgraph.core import (CyclicEdges, RawGraph, UnknownVertex, VertexId,
-                         _find_cycle)
-from lgraph.mill import Atom, Lolli, Tensor, Unit
+from lgraph.core import (CyclicEdges, LabelId, LogicalGraph, PeelTree,
+                         RawGraph, UnknownVertex, VertexId, _find_cycle)
+from lgraph.mill import (Atom, Decomposition, DecompositionPart, Formula,
+                         Lolli, ParseError, Tensor, Unit, _tokenize)
 from lgraph.traversal import Action, traverse_dfs
 
 
@@ -185,6 +191,138 @@ def ref_to_graph(f):
         return algebra.implies(ref_to_graph(f.left),
                                ref_to_graph(f.right)).graph
     raise TypeError(f"not a formula: {f!r}")
+
+
+class _Parser:
+    # lolli : tensor ('-o' lolli)?     right-associative
+    # tensor: primary ('*' primary)*   left-associative, binds tighter
+    # primary: '1' | atom | '(' lolli ')'
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self) -> Formula:
+        f = self.lolli()
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise ParseError(pos, "end of input", value)
+        return f
+
+    def lolli(self) -> Formula:
+        left = self.tensor()
+        if self.peek()[0] == "-o":
+            self.take()
+            return Lolli(left, self.lolli())
+        return left
+
+    def tensor(self) -> Formula:
+        f = self.primary()
+        while self.peek()[0] == "*":
+            self.take()
+            f = Tensor(f, self.primary())
+        return f
+
+    def primary(self) -> Formula:
+        kind, value, pos = self.take()
+        if kind == "atom":
+            return Atom(LabelId(value))
+        if kind == "unit":
+            return Unit()
+        if kind == "(":
+            f = self.lolli()
+            kind, value, pos = self.take()
+            if kind != ")":
+                raise ParseError(pos, "')'", value)
+            return f
+        raise ParseError(pos, "an atom, '1', or '('", value)
+
+
+def ref_parse(text: str) -> Formula:
+    """Recursive descent: '*' binds tighter than right-associative '-o'."""
+    return _Parser(text).parse()
+
+
+def ref_print_formula(f: Formula) -> str:
+    """Recursive rendering with minimal parentheses."""
+    return _render(f, 0)
+
+
+def _render(f: Formula, context: int) -> str:
+    match f:
+        case Unit():
+            return "1"
+        case Atom(label):
+            return label.name
+        case Tensor(left, right):
+            s = f"{_render(left, 2)} * {_render(right, 3)}"
+            return f"({s})" if context > 2 else s
+        case Lolli(left, right):
+            s = f"{_render(left, 2)} -o {_render(right, 1)}"
+            return f"({s})" if context > 1 else s
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _tensor_all(formulas: list[Formula]) -> Formula:
+    if not formulas:
+        return Unit()
+    result = formulas[-1]
+    for f in reversed(formulas[:-1]):
+        result = Tensor(f, result)
+    return result
+
+
+# Precedences matching _render: parenthesise a piece exactly when its
+# precedence is below the context it is placed in.
+_ATOMIC, _TENSOR, _LOLLI = 9, 2, 1
+
+
+def _tensor_text(parts: list[tuple[str, int]]) -> tuple[str, int]:
+    """Right-nested tensor text from (text, precedence) pieces."""
+    if not parts:
+        return "1", _ATOMIC
+    text, prec = parts[-1]
+    for left_text, left_prec in reversed(parts[:-1]):
+        right = f"({text})" if prec < 3 else text
+        left = f"({left_text})" if left_prec < 2 else left_text
+        text, prec = f"{left} * {right}", _TENSOR
+    return text, prec
+
+
+def ref_canonicalize(g: LogicalGraph, tree: PeelTree
+                     ) -> tuple[Decomposition, Formula, str, int]:
+    """Sort a peel tree canonically, rendering each node's formula once.
+
+    Clique members tensor in ascending label order; sibling parts sort by
+    the text of their rendered formulas.  Text is composed bottom-up and
+    matches print_formula of the returned formula exactly.
+    """
+    rendered: list[tuple[str, int, DecompositionPart, Formula]] = []
+    for clique, children in tree:
+        sub, sub_formula, sub_text, sub_prec = ref_canonicalize(g, children)
+        labels = sorted(g.labelling[v] for v in clique)
+        tensor = _tensor_all([Atom(l) for l in labels])
+        tensor_text, tensor_prec = _tensor_text([(l.name, _ATOMIC) for l in labels])
+        if not sub.parts:
+            formula, text, prec = tensor, tensor_text, tensor_prec
+        else:
+            formula = Lolli(sub_formula, tensor)
+            left = f"({sub_text})" if sub_prec < 2 else sub_text
+            text, prec = f"{left} -o {tensor_text}", _LOLLI
+        rendered.append((text, prec, DecompositionPart(clique, sub), formula))
+    rendered.sort(key=lambda item: item[0])
+    node_formula = _tensor_all([f for _, _, _, f in rendered])
+    node_text, node_prec = _tensor_text([(t, p) for t, p, _, _ in rendered])
+    return (Decomposition(tuple(p for _, _, p, _ in rendered)), node_formula,
+            node_text, node_prec)
 
 
 # A candidate isomorphism: an injective, label-preserving vertex map.

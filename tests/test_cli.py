@@ -51,6 +51,29 @@ class TestFormulaCommands:
         assert (code, out) == (0, "p -o q\n")
 
 
+def _balanced_tensor(names):
+    if len(names) == 1:
+        return names[0]
+    mid = len(names) // 2
+    return (f"({_balanced_tensor(names[:mid])}) * "
+            f"({_balanced_tensor(names[mid:])})")
+
+
+class TestDeepFormulas:
+    def test_parse_of_a_large_tensor_key(self, capsys):
+        # The key is a right-nested tensor, 398 parentheses deep.
+        code, key, _ = invoke(capsys, "normalize", _balanced_tensor(
+            [f"x{i}" for i in range(400)]))
+        assert code == 0 and key.count("(") == 398
+        assert invoke(capsys, "parse", key.strip()) == (0, key, "")
+
+    def test_normalize_of_a_deep_chain(self, capsys):
+        depth = 20_000
+        text = "(" * (depth - 2) + "x0 -o x1" + "".join(
+            f") -o x{i % 7}" for i in range(2, depth))
+        assert invoke(capsys, "normalize", text) == (0, text + "\n", "")
+
+
 class TestGraphCommands:
     def test_to_graph_emits_canonical_json(self, capsys):
         code, out, err = invoke(capsys, "to-graph", "p -o q")

@@ -469,3 +469,4 @@ class TestGraphFiles:
     @given(dag_graphs())
     def test_round_trip_any_graph(self, g):
         assert from_json(to_json(g)) == g
+        assert g._sorted_edges == tuple(sorted(g.edges))

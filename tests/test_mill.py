@@ -1,14 +1,15 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
 import refimpl
-from lgraph import (Atom, LogicalGraph, Lolli, NotInFragment, ParseError,
-                    RawGraph, Tensor, Unit, alpha_equiv, canonical_key,
-                    decompose, empty, normalize, parse, print_formula,
-                    rename_apart, singleton, to_formula, to_graph, to_json,
-                    validate)
+from lgraph import (Atom, Error, LogicalGraph, Lolli, NotInFragment,
+                    ParseError, RawGraph, Tensor, Unit, alpha_equiv,
+                    canonical_key, decompose, empty, enumerate_formulas,
+                    normalize, parse, print_formula, rename_apart, singleton,
+                    to_formula, to_graph, to_json, validate)
 from lgraph.core import peel_tree
 from strategies import formulas, valid_graphs
 from util import (G, L, LG, V, flat_tensor, left_lolli, names,
@@ -358,3 +359,123 @@ class TestCanonicalKey:
     @settings(max_examples=100)
     def test_key_parses_back_to_the_same_graph(self, g):
         assert alpha_equiv(to_graph(parse(canonical_key(g))), g) is not None
+
+
+class TestMatchesTheRecursiveOracle:
+    """parse, print_formula and the canonical walk against the recursive
+    code they replaced (refimpl), with == on outputs and on errors."""
+
+    @staticmethod
+    def assert_same(f):
+        assert print_formula(f) == refimpl.ref_print_formula(f)
+        try:
+            g = validate(to_graph(f))
+        except Error:
+            return
+        dec, formula, key, _ = refimpl.ref_canonicalize(g, peel_tree(g))
+        assert canonical_key(g) == key
+        assert print_formula(to_formula(g)) == \
+            refimpl.ref_print_formula(formula)
+        assert decompose(g) == dec
+
+    def test_every_formula_up_to_three_connectives(self):
+        for f in enumerate_formulas([P, Q], 3):
+            self.assert_same(f)
+
+    def test_seeded_random_formulas_with_units(self):
+        # Few labels, so that clique members and sibling parts tie.
+        rng = random.Random(20261019)
+        labels = [P, Q, R, L("s")]
+        for _ in range(400):
+            self.assert_same(_random_formula(rng, rng.randint(1, 40), labels))
+
+    @staticmethod
+    def outcome(parser, text):
+        try:
+            return parser(text)
+        except ParseError as exc:
+            return type(exc), exc.position, exc.expected, str(exc)
+
+    def test_seeded_random_token_strings(self):
+        tokens = ["p", "q", "x_1", "1", "2", "*", "-o", "(", ")", " ", "⊗"]
+        rng = random.Random(20261020)
+        for _ in range(20_000):
+            text = "".join(rng.choice(tokens)
+                           for _ in range(rng.randint(0, 9)))
+            assert self.outcome(parse, text) == \
+                self.outcome(refimpl.ref_parse, text), text
+
+
+def _timed(fn, arg):
+    started = time.perf_counter()
+    result = fn(arg)
+    return result, time.perf_counter() - started
+
+
+DEPTH = 20_000
+
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    """((x0 -o x1) -o x2) -o ... at DEPTH atoms: formula, graph and text."""
+    f = left_lolli([L(f"x{i % 7}") for i in range(DEPTH)])
+    text = "(" * (DEPTH - 2) + "x0 -o x1" + "".join(
+        f") -o x{i % 7}" for i in range(2, DEPTH))
+    return f, validate(to_graph(f)), text
+
+
+class TestFormulaWalksAreTotal:
+    """Depths past the interpreter's recursion limit.  Results are checked
+    through text and graph sizes, because == and hash on Formula recurse."""
+
+    N = 100_000
+
+    def test_parse_of_deeply_parenthesised_atom(self):
+        f, took = _timed(parse, "(" * self.N + "p" + ")" * self.N)
+        assert took < 2.0
+        assert type(f) is Atom and f.label == P
+
+    def test_parse_of_flat_tensor(self):
+        f, took = _timed(parse, " * ".join(f"x{i % 7}" for i in range(self.N)))
+        assert took < 2.0
+        g = to_graph(f)
+        assert (len(g), len(g.edges)) == (self.N, 0)
+        spine = 0
+        while type(f) is Tensor:
+            f, spine = f.left, spine + 1
+        assert spine == self.N - 1
+
+    def test_print_formula(self, deep_chain):
+        f, _, text = deep_chain
+        printed, took = _timed(print_formula, f)
+        assert took < 2.0
+        assert printed == text
+
+    def test_canonical_key(self, deep_chain):
+        _, g, text = deep_chain
+        key, took = _timed(canonical_key, g)
+        assert took < 2.0
+        assert key == text
+
+    def test_to_formula(self, deep_chain):
+        _, g, text = deep_chain
+        f, took = _timed(to_formula, g)
+        assert took < 2.0
+        assert print_formula(f) == text
+
+    def test_decompose(self, deep_chain):
+        _, g, _ = deep_chain
+        d, took = _timed(decompose, g)
+        assert took < 2.0
+        levels = 0
+        while d.parts:
+            (part,) = d.parts
+            assert len(part.clique) == 1
+            d, levels = part.assumptions, levels + 1
+        assert levels == DEPTH
+
+    def test_normalize(self, deep_chain):
+        f, _, text = deep_chain
+        normal, took = _timed(normalize, f)
+        assert took < 2.0
+        assert print_formula(normal) == text
