@@ -191,7 +191,7 @@ def _cmd_enumerate(args) -> int:
     skipped = 0
     for f in formulas:
         try:
-            key = mill._normal_key(f)
+            key = mill.print_formula(mill.normalize(f))
         except NotInFragment:
             skipped += 1
             continue
@@ -224,7 +224,8 @@ def run(argv: list[str]) -> int:
             print(mill.canonical_key(g))
             return 0
         if args.command == "normalize":
-            print(mill._normal_key(_read_formula_arg(args.formula)))
+            print(mill.print_formula(mill.normalize(
+                _read_formula_arg(args.formula))))
             return 0
         if args.command == "equiv":
             return _cmd_equiv(args)

@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import Sequence, Union
 
 from . import algebra
-from .core import (Error, LabelId, LogicalGraph, PeelTree, RawGraph,
+from .core import (Error, LabelId, LogicalGraph, RawGraph,
                    VertexId, VSet, _graph, peel_tree, validate)
 
 
@@ -314,18 +314,15 @@ class Decomposition:
 
 
 def _tensor_text(pieces: list[tuple[str, int]]) -> tuple[str, int]:
-    """The right-nested tensor of (text, precedence) pieces; 1 for none."""
-    if not pieces:
-        return "1", _ATOM
+    """The right-nested tensor of a nonempty list of (text, precedence)."""
     tensor = pieces[-1]
     for piece in reversed(pieces[:-1]):
         tensor = _join(Tensor, piece, tensor)
     return tensor
 
 
-def _canonicalize(g: LogicalGraph, tree: PeelTree
-                  ) -> tuple[Decomposition, str]:
-    """Sort a peel tree canonically and compose the canonical key.
+def _canonicalize(g: LogicalGraph) -> tuple[Decomposition, str]:
+    """Sort g's peel tree canonically and compose the canonical key.
 
     Clique members tensor in ascending label order, implied by their
     assumptions' text when there are any; sibling parts sort by their text
@@ -335,10 +332,13 @@ def _canonicalize(g: LogicalGraph, tree: PeelTree
     """
     labelling = g.labelling
     done: list = []  # (text, precedence, part or level's decomposition)
-    todo: list = [tree]
+    no_parts = ("1", _ATOM, Decomposition(()))
+    todo: list = [peel_tree(g)]
     while todo:
         x = todo.pop()
-        if type(x) is list:
+        if x == []:  # a level without parts: 1, one shared entry
+            done.append(no_parts)
+        elif type(x) is list:
             todo.append(len(x))
             for clique, children in reversed(x):
                 todo += (clique, children)
@@ -366,37 +366,38 @@ def decompose(g: LogicalGraph) -> Decomposition:
     Parts at every level are ordered canonically (by their rendered
     formulas), matching the order ``to_formula`` emits.
     """
-    return _canonicalize(g, peel_tree(g))[0]
+    return _canonicalize(g)[0]
 
 
 def canonical_key(g: LogicalGraph) -> str:
     """The printed canonical formula; equal exactly on alpha-equivalent graphs."""
-    return _canonicalize(g, peel_tree(g))[1]
+    return _canonicalize(g)[1]
 
 
 def to_formula(g: LogicalGraph) -> Formula:
     """The canonical formula of a validated graph: its canonical key, parsed.
 
-    Output depends only on the alpha-equivalence class of the graph.
+    Output depends only on the alpha-equivalence class of the graph.  Keys
+    of up to 256 characters are parsed once and the formula shared: formulas
+    are immutable, and ``lg enumerate --classes`` meets most keys often.
     """
-    return parse(canonical_key(g))
+    key = canonical_key(g)
+    return _parse_short_key(key) if len(key) <= 256 else parse(key)
 
 
-def _normal_key(f: Formula) -> str:
-    """The canonical key of f's graph; NotInFragment when it is not valid."""
-    g = to_graph(f)
-    try:
-        valid = validate(g)
-    except Error as exc:
-        raise NotInFragment(g, exc) from None
-    return canonical_key(valid)
+_parse_short_key = lru_cache(maxsize=256)(parse)
 
 
 def normalize(f: Formula) -> Formula:
     """The canonical representative of f's symmetry class.
 
-    Translates to a graph, validates, and parses the canonical key back;
-    raises NotInFragment (carrying the offending graph) when the
-    translation is not well-formed.  Idempotent on its domain.
+    Translates to a graph, validates, and reads the formula back; raises
+    NotInFragment (carrying the offending graph) when the translation is
+    not well-formed.  Idempotent on its domain.
     """
-    return parse(_normal_key(f))
+    g = to_graph(f)
+    try:
+        valid = validate(g)
+    except Error as exc:
+        raise NotInFragment(g, exc) from None
+    return to_formula(valid)
