@@ -564,9 +564,11 @@ def from_json(text: str) -> RawGraph:
             isinstance(k, str) and isinstance(v, str) for k, v in vertices.items()):
         raise Error("invalid graph file: \"vertices\" must map names to labels")
     lab = {}
+    named: dict[str, VertexId] = {}  # edge endpoints resolve through this
     try:
         for k, v in vertices.items():
-            lab[VertexId(k)] = LabelId(v)
+            named[k] = vertex = VertexId(k)
+            lab[vertex] = LabelId(v)
     except ValueError as exc:
         raise Error(f"invalid graph file: {exc}") from None
     if not isinstance(edges, list):
@@ -574,7 +576,10 @@ def from_json(text: str) -> RawGraph:
     pairs = []
     for e in edges:
         if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, str) for x in e)):
+                or not all(isinstance(x, str) and x for x in e)):
             raise Error(f"invalid graph file: bad edge {e!r}")
-        pairs.append((VertexId(e[0]), VertexId(e[1])))
+        src, dst = named.get(e[0]), named.get(e[1])
+        if src is None or dst is None:
+            raise UnknownVertex(VertexId(e[0] if src is None else e[1]))
+        pairs.append((src, dst))
     return RawGraph(lab, pairs)

@@ -8,7 +8,16 @@ visited vertex; it does not depend on the choices made.  The search is an
 iterative depth-first backtracking over the steps that grows one map in
 place, undoes it on the way back, and yields maps lazily, in lexicographic
 order of the choices, each taken in ascending vertex order.  A map is always
-injective and label-preserving; ``alpha_equiv`` keeps only isomorphisms.
+injective and label-preserving.
+
+Each candidate pool is split into buckets by a key, kept in ascending order
+and skipping a prefix of used vertices, so a fan-in of k costs O(k).  The
+key is the label in ``mk_graph_iso`` and ``vertex_match_perms``, which list
+embeddings.  ``alpha_equiv`` and ``alpha_equiv_all`` key by colour, the
+vertex's (label, in-degree, out-degree): an isomorphism keeps colours, so
+this prunes only branches that hold none, and every map it completes is an
+isomorphism, with no check after the fact.  Graphs whose colour counts
+differ are rejected before any search.
 """
 
 from __future__ import annotations
@@ -16,14 +25,14 @@ from __future__ import annotations
 from typing import Iterator
 
 from .core import CyclicEdges, RawGraph, UnknownVertex, VertexId, _find_cycle
-from .traversal import Action, traverse_dfs
+from .traversal import _CONTINUE, _SKIP, Action, traverse_dfs
 
 # A candidate isomorphism: an injective, label-preserving vertex map.
 VMap = dict[VertexId, VertexId]
 
 # (u, x, new): u is a predecessor of x, or a start when x is None, and the
 # pool is the predecessors of x's image, or the start pool.  A new u takes
-# an unused vertex of the pool with u's label; an old u's image must be in it.
+# an unused vertex of the pool with u's key; an old u's image must be in it.
 Step = tuple[VertexId, VertexId | None, bool]
 
 
@@ -34,12 +43,12 @@ def _plan(g1: RawGraph, starts, mapped: set[VertexId]) -> list[Step]:
 
     def visit(x: VertexId, _) -> tuple[Action, None]:
         if x in visited:
-            return Action.SKIP, None
+            return _SKIP, None
         visited.add(x)
         for p in g1._preds[x]:
             steps.append((p, x, p not in mapped))
             mapped.add(p)
-        return Action.CONTINUE, None
+        return _CONTINUE, None
 
     for v in starts:
         if v not in mapped:
@@ -49,15 +58,28 @@ def _plan(g1: RawGraph, starts, mapped: set[VertexId]) -> list[Step]:
     return steps
 
 
-def _extensions(g1: RawGraph, g2: RawGraph, steps: list[Step], m: VMap,
+def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
                 pool=()) -> Iterator[VMap]:
     """Every extension of m along steps, depth-first, with m grown in place.
 
+    A new u may take only an unused candidate c with key2[c] == key1[u].
     A yielded map is only valid until the generator is resumed.
     """
     used = set(m.values())
-    lab1, lab2 = g1.labelling, g2.labelling
     preds2, edges2 = g2._preds, g2.edges
+    # Candidates by image vertex (None: the pool), then by key: a cell
+    # [first, ascending candidates] whose candidates before first are all
+    # used.  A choice moves first past the used prefix and puts it back when
+    # undone, so a fan-in of k same-key premises costs O(k), not O(k^2).
+    buckets: dict[VertexId | None, dict] = {}
+
+    def bucket(w, key):
+        by_key = buckets.get(w)
+        if by_key is None:
+            by_key = buckets[w] = {}
+            for c in (pool if w is None else preds2[w]):
+                by_key.setdefault(key2[c], [0, []])[1].append(c)
+        return by_key.get(key)
 
     def choices(u, x, new):
         """Make each choice of one step in turn, undoing it when resumed."""
@@ -65,14 +87,24 @@ def _extensions(g1: RawGraph, g2: RawGraph, steps: list[Step], m: VMap,
             if (m[u] in pool) if x is None else ((m[u], m[x]) in edges2):
                 yield
             return
-        label = lab1[u]
-        for c in (pool if x is None else preds2[m[x]]):
-            if c not in used and lab2[c] == label:
-                m[u] = c
-                used.add(c)
-                yield
-                del m[u]
-                used.discard(c)
+        cell = bucket(None if x is None else m[x], key1[u])
+        if cell is None:
+            return
+        first, candidates = cell
+        advance = True  # until a choice is undone, candidates[:i] are used
+        for i in range(first, len(candidates)):
+            c = candidates[i]
+            if c in used:
+                continue
+            m[u] = c
+            used.add(c)
+            if advance:
+                cell[0] = i + 1
+            yield
+            cell[0] = first
+            advance = False
+            del m[u]
+            used.discard(c)
 
     if not steps:
         yield m
@@ -98,7 +130,8 @@ def vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
     """
     steps = [(v, None, v not in m) for v in sorted(set(asms1))]
     pool = sorted(set(asms2))
-    return [dict(e) for e in _extensions(g1, g2, steps, dict(m), pool)]
+    return [dict(e) for e in _extensions(g2, steps, dict(m), g1.labelling,
+                                         g2.labelling, pool)]
 
 
 def mk_graph_iso(g1: RawGraph, v1: VertexId, g2: RawGraph, v2: VertexId,
@@ -120,16 +153,23 @@ def mk_graph_iso(g1: RawGraph, v1: VertexId, g2: RawGraph, v2: VertexId,
         return []
     m[v1] = v2
     steps = _plan(g1, [v1], set(m))
-    return [dict(e) for e in _extensions(g1, g2, steps, m)]
+    return [dict(e) for e in _extensions(g2, steps, m, g1.labelling,
+                                         g2.labelling)]
 
 
-def _verified(m: VMap, g1: RawGraph, g2: RawGraph) -> bool:
-    """Total bijection, label-preserving, edges preserved in both directions."""
-    if len(m) != len(g1) or set(m.values()) != set(g2.labelling):
-        return False
-    if any(g1.labelling[v] != g2.labelling[w] for v, w in m.items()):
-        return False
-    return {(m[s], m[d]) for s, d in g1.edges} == g2.edges
+def _colours(g: RawGraph, table: dict) -> tuple[dict[VertexId, int],
+                                               list[VertexId]]:
+    """Each vertex's (label, in-degree, out-degree), numbered through the
+    table the two graphs of one search share, and the minimal vertices."""
+    lab, preds, succs = g.labelling, g._preds, g._succs
+    colours, minimals = {}, []
+    for v in g._sorted_vertices:
+        out = len(succs[v])
+        if not out:
+            minimals.append(v)
+        colours[v] = table.setdefault((lab[v], len(preds[v]), out),
+                                      len(table))
+    return colours, minimals
 
 
 def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterator[VMap]:
@@ -137,26 +177,34 @@ def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterator[VMap]:
         return
     if sorted(g1.labelling.values()) != sorted(g2.labelling.values()):
         return
-    minimals1 = [v for v in g1._sorted_vertices if not g1._succs[v]]
-    minimals2 = [v for v in g2._sorted_vertices if not g2._succs[v]]
+    table: dict = {}
+    colours1, minimals1 = _colours(g1, table)
+    colours2, minimals2 = _colours(g2, table)
     if len(minimals1) != len(minimals2):
         return
     cycle = _find_cycle(g1)
     if cycle is not None:
         raise CyclicEdges(cycle)
+    if sorted(colours1.values()) != sorted(colours2.values()):
+        return
+    # The plan steps every vertex and every edge of the acyclic g1, so a
+    # full extension is injective, keeps colours and sends each edge to an
+    # edge; with |V| and |E| equal on both sides it is an isomorphism.
     steps = _plan(g1, minimals1, set())
-    for m in _extensions(g1, g2, steps, {}, minimals2):
-        if _verified(m, g1, g2):
-            yield dict(m)
+    for m in _extensions(g2, steps, {}, colours1, colours2, minimals2):
+        yield dict(m)
 
 
 def alpha_equiv(g1: RawGraph, g2: RawGraph) -> VMap | None:
     """The first total label- and edge-preserving bijection, if any.
 
     Quick-rejects on vertex and edge counts, label multiset and number of
-    minimal vertices; past those, a cyclic g1 raises CyclicEdges.  The search
-    maps g1's minimal vertices in order, each followed by its backward
-    closure, and stops at the first map that verifies as an isomorphism.
+    minimal vertices; past those, a cyclic g1 raises CyclicEdges.  Then it
+    rejects when the graphs differ in how many vertices have each colour,
+    (label, in-degree, out-degree).  The search maps g1's minimal vertices
+    in order, each followed by its backward closure, each vertex only onto
+    one of its own colour, and stops at the first complete map, which is an
+    isomorphism.
     """
     return next(_isomorphisms(g1, g2), None)
 

@@ -30,6 +30,10 @@ class Action(Enum):
 
 VisitFn = Callable[[VertexId, A], tuple[Action, A]]
 
+# Reading a member off the Enum class goes through its metaclass, several
+# times the cost of a plain attribute; walks read these once per visit.
+_SKIP, _STOP, _CONTINUE = Action.SKIP, Action.STOP, Action.CONTINUE
+
 
 def traverse_dfs(f: VisitFn, g: RawGraph, v: VertexId, a0: A) -> A:
     """Fold f depth-first along predecessors starting at v.
@@ -41,18 +45,18 @@ def traverse_dfs(f: VisitFn, g: RawGraph, v: VertexId, a0: A) -> A:
     if v not in g:
         raise UnknownVertex(v)
     action, acc = f(v, a0)
-    if action is Action.STOP:
+    if action is _STOP:
         return acc
-    stack = [iter(g._preds[v])] if action is Action.CONTINUE else []
+    stack = [iter(g._preds[v])] if action is _CONTINUE else []
     while stack:
         w = next(stack[-1], None)
         if w is None:
             stack.pop()
             continue
         action, acc = f(w, acc)
-        if action is Action.STOP:
+        if action is _STOP:
             return acc
-        if action is Action.CONTINUE:
+        if action is _CONTINUE:
             stack.append(iter(g._preds[w]))
     return acc
 
@@ -68,8 +72,8 @@ def fold_reachable(f: Callable[[VertexId, A], A], g: RawGraph, v: VertexId,
 
     def visit(w: VertexId, acc: A) -> tuple[Action, A]:
         if w in seen:
-            return Action.SKIP, acc
+            return _SKIP, acc
         seen.add(w)
-        return Action.CONTINUE, f(w, acc)
+        return _CONTINUE, f(w, acc)
 
     return traverse_dfs(visit, g, v, a0)

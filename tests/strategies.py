@@ -20,7 +20,7 @@ formulas = st.recursive(
 
 
 @st.composite
-def dag_graphs(draw, max_vertices=6):
+def dag_graphs(draw, max_vertices=6, labels=labels):
     """Arbitrary labelled DAGs (edges respect a fixed vertex order)."""
     n = draw(st.integers(0, max_vertices))
     verts = [VertexId(f"n{i}") for i in range(n)]

@@ -22,10 +22,11 @@ import pytest
 from lgraph import (Action, LabelId, NotASubgraphByName, NotInFragment,
                     NotWellFormed, RawGraph, VertexId, add, alpha_equiv,
                     canonical_key, conclusions, empty, enumerate_formulas,
-                    fold_reachable, full_assumption_graph, mk_graph_iso,
+                    fold_reachable, from_json, full_assumption_graph,
+                    mk_graph_iso,
                     naive_iso, normalize, parse, print_formula, rename_graph,
                     rewrite_variants, singleton, subtract, to_formula,
-                    to_graph, traverse_dfs, validate)
+                    to_graph, to_json, traverse_dfs, validate)
 from lgraph.core import Error, _up_closure
 from lgraph.mill import Atom, Lolli, Tensor, Unit
 from lgraph.oracle import count_formulas
@@ -552,4 +553,25 @@ def test_linear_scaling_of_alpha_equiv():
     slope = _loglog_slope(sizes, times)
     assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
     print(f"\nacceptance alpha_equiv scaling: PASS (n={sizes}: "
+          + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
+
+
+def test_linear_scaling_of_alpha_equiv_on_a_curried_star():
+    # a0 -o a1 -o ... -o q is a star: every premise implies q.  Each new
+    # premise scanned the premise list of q's image from the start for an
+    # unused vertex with its label, so this was quadratic (26.5 s at 32k
+    # atoms).
+    sizes = [10_000, 31_623, 100_000]
+    times = []
+    for n in sizes:
+        f = right_lolli([L(f"a{i % 7}") for i in range(n - 1)] + [L("q")])
+        g = validate(to_graph(f))
+        h = validate(from_json(to_json(g)))
+        times.append(_best_of(3, lambda: alpha_equiv(g, h)))
+        assert alpha_equiv(g, h) == {v: v for v in g.vertices()}
+    assert times[-1] < 2.0, f"alpha_equiv of a curried star at 1e5: " \
+                            f"{times[-1]:.3f}s"
+    slope = _loglog_slope(sizes, times)
+    assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
+    print(f"\nacceptance alpha_equiv curried-star scaling: PASS (n={sizes}: "
           + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")

@@ -132,6 +132,14 @@ class TestGraphCommands:
         assert code == 2
         assert err.startswith("error:schema:")
 
+    def test_empty_edge_endpoint_is_a_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices":{"a":"p"},"edges":[["","a"]]}',
+                        encoding="utf-8")
+        code, out, err = invoke(capsys, "iso", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert err == "error:schema: invalid graph file: bad edge ['', 'a']\n"
+
 
 class TestEquivAndIso:
     def test_equivalent_formulas(self, capsys):

@@ -12,7 +12,7 @@ from lgraph import (CyclicEdges, LabelId, LogicalGraph, NotWellFormed,
                     full_assumption_graph, induced_subgraph, predecessors,
                     rename_apart, rename_graph, subgraph_relation, successors,
                     to_json, validate, vset)
-from lgraph.core import _fresh_names, fresh_name, peel_tree
+from lgraph.core import Error, _fresh_names, fresh_name, peel_tree
 from strategies import dag_graphs, raw_graphs, valid_graphs
 from util import G, L, LG, V, names
 
@@ -458,9 +458,20 @@ class TestGraphFiles:
         with pytest.raises(Exception, match="bad edge"):
             from_json('{"vertices": {"a": "p"}, "edges": [["a"]]}')
 
+    @pytest.mark.parametrize("edge", ['["", "a"]', '["a", ""]'])
+    def test_empty_edge_endpoint_rejected(self, edge):
+        text = '{"vertices": {"a": "p"}, "edges": [%s]}' % edge
+        with pytest.raises(Error, match="invalid graph file: bad edge"):
+            from_json(text)
+
     def test_edge_to_unlabelled_vertex_rejected(self):
         with pytest.raises(UnknownVertex):
             from_json('{"vertices": {"a": "p"}, "edges": [["a","b"]]}')
+
+    def test_edge_from_unlabelled_vertex_rejected(self):
+        with pytest.raises(UnknownVertex) as caught:
+            from_json('{"vertices": {"a": "p"}, "edges": [["b","a"]]}')
+        assert caught.value.vertex == V("b")
 
     def test_not_json_rejected(self):
         with pytest.raises(Exception, match="invalid graph file"):

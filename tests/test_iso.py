@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -229,6 +230,13 @@ def renamed_copies(draw, graphs=dag_graphs()):
                                for v, n in zip(g.vertices(), names)})
 
 
+# DAGs over one label or two, so that the candidate buckets of the search
+# are big and shared.
+few_label_dags = st.one_of(
+    dag_graphs(labels=st.just(LabelId("p"))),
+    dag_graphs(labels=st.sampled_from([LabelId("p"), LabelId("q")])))
+
+
 class TestSameOrderAsListSearch:
     """The lazy search returns the list-based search's maps, in its order.
 
@@ -279,6 +287,24 @@ class TestSameOrderAsListSearch:
                     seed = {s1: s2}
                     assert mk_graph_iso(g, v1, g2, v2, seed) == \
                         refimpl.ref_mk_graph_iso(g, v1, g2, v2, seed)
+
+    @given(renamed_copies(few_label_dags), few_label_dags)
+    @settings(max_examples=100)
+    def test_every_map_is_an_isomorphism(self, pair, other):
+        g, h = pair
+        for g2 in (g, h, other):
+            for m in alpha_equiv_all(g, g2):
+                assert refimpl._ref_verified(m, g, g2)
+
+    @given(few_label_dags, few_label_dags)
+    @settings(max_examples=100)
+    def test_few_labels(self, g, h):
+        self.assert_same_isomorphisms(g, h)
+        self.assert_same_isomorphisms(g, g)
+        for g2 in (g, h):
+            for v1, v2 in itertools.product(g.vertices(), g2.vertices()):
+                assert mk_graph_iso(g, v1, g2, v2) == \
+                    refimpl.ref_mk_graph_iso(g, v1, g2, v2)
 
     @given(renamed_copies(), st.data())
     @settings(max_examples=150)
@@ -333,6 +359,15 @@ class TestTotality:
         with pytest.raises(CyclicEdges):
             alpha_equiv_all(self.CYCLE, self.CYCLE)
 
+    def test_cycle_is_found_before_the_colours_differ(self):
+        # Past the quick rejects a cyclic g1 raises, although the colour
+        # histograms alone would already answer no.
+        acyclic = G("a:p b:p z:q", "a>z b>z a>b")
+        with pytest.raises(CyclicEdges):
+            alpha_equiv(self.CYCLE, acyclic)
+        with pytest.raises(CyclicEdges):
+            alpha_equiv_all(self.CYCLE, acyclic)
+
     def test_mk_graph_iso_ends_on_a_cycle(self):
         maps = mk_graph_iso(self.CYCLE, V("z"), self.CYCLE, V("z"))
         assert maps == [{V("z"): V("z"), V("w"): V("w"), V("u"): V("u")}]
@@ -352,3 +387,74 @@ class TestTotality:
         g = to_graph(flat_tensor([LabelId(f"a{i}") for i in range(1_500)]))
         assert len(g) == 1_500
         assert _timed_self_iso(g) < 2.0
+
+
+def _nested_cliques(rng, size, labels):
+    """A graph in the fragment with size vertices, built as nested
+    conclusion cliques: each level has at most two vertices without
+    premises and any number of cliques whose premises are the conclusions
+    of a nested graph.  Labels are drawn with replacement, so same-label
+    siblings, which the search branches on, are common."""
+    labelling, edges = {}, []
+
+    def vertices(count):
+        made = [VertexId(f"v{len(labelling) + i}") for i in range(count)]
+        labelling.update((v, rng.choice(labels)) for v in made)
+        return made
+
+    def build(budget):
+        level = vertices(rng.randint(0, min(2, budget)))
+        budget -= len(level)
+        while budget > 0:
+            if budget == 1:
+                return level + vertices(1)
+            size = rng.randint(1, min(3, budget - 1))
+            nested = rng.randint(1, budget - size)
+            premises = build(nested)
+            clique = vertices(size)
+            edges.extend((p, c) for p in premises for c in clique)
+            level += clique
+            budget -= size + nested
+        return level
+
+    build(size)
+    return RawGraph(labelling, edges)
+
+
+def _label_swap_twin(rng, g):
+    """g, renamed, with the labels of two vertices exchanged whose labels
+    and (in-degree, out-degree) pairs both differ, or None."""
+    vs = g.vertices()
+    for _ in range(100):
+        u, w = rng.sample(vs, 2)
+        if g.labelling[u] != g.labelling[w] and \
+                (len(g._preds[u]), len(g._succs[u])) != \
+                (len(g._preds[w]), len(g._succs[w])):
+            labelling = dict(g.labelling)
+            labelling[u], labelling[w] = labelling[w], labelling[u]
+            names = [VertexId(f"w{i}") for i in range(len(vs))]
+            rng.shuffle(names)
+            return rename_graph(RawGraph(labelling, g.edges),
+                                dict(zip(vs, names)))
+    return None
+
+
+def test_label_swapped_twins_are_rejected_quickly():
+    # The quick rejects pass (the label multiset is the same), and
+    # backtracking over same-label siblings took up to 17 s a pair, 44 s
+    # for all 300.  The swapped pair's degrees differ, so colours tell each
+    # pair apart before the search starts.
+    rng = random.Random(60)
+    labels = [LabelId(f"l{i}") for i in range(5)]
+    worst, rejected = 0.0, 0
+    while rejected < 300:
+        g = _nested_cliques(rng, 60, labels)
+        twin = _label_swap_twin(rng, g)
+        if twin is None:
+            continue
+        assert sorted(g.labelling.values()) == sorted(twin.labelling.values())
+        started = time.perf_counter()
+        assert alpha_equiv(g, twin) is None
+        worst = max(worst, time.perf_counter() - started)
+        rejected += 1
+    assert worst < 0.05, f"slowest reject took {worst * 1000:.1f} ms"
