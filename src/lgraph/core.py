@@ -132,17 +132,21 @@ class RawGraph:
         for src, dst in eset:
             if src not in lab or dst not in lab:
                 raise UnknownVertex(src if src not in lab else dst)
-        self._wire(lab, eset)
+        self._wire(lab, eset, eset)
 
-    def _wire(self, lab: dict, eset: frozenset):
-        """Fill the slots; lab is owned and edge endpoints are labelled."""
+    def _wire(self, lab: dict, eset: frozenset, pairs):
+        """Fill the slots; lab is owned and edge endpoints are labelled.
+
+        pairs lists eset once, in the order to wire it: on a large graph a
+        list in vertex order is much faster than eset's hash order.
+        """
         # Sorting by the plain string keeps the order and skips the
         # Python-level comparison that VertexId's __eq__ brings with it,
         # which is most of the cost of sorting many vertices.
         verts = sorted(lab, key=str.__str__)
         preds: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
         succs: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
-        for src, dst in eset:
+        for src, dst in pairs:
             preds[dst].append(src)
             succs[src].append(dst)
         for lst in preds.values():
@@ -224,10 +228,12 @@ class LogicalGraph(RawGraph):
 
 
 def _graph(cls: type, lab: dict, edges) -> RawGraph:
-    """Internal constructor for callers that own lab and built the edges
-    from lab's own keys; skips the defensive copy and endpoint checks."""
+    """Internal constructor for callers that own lab and built the edge
+    list from lab's own keys; skips the defensive copy and endpoint checks."""
     g = cls.__new__(cls)
-    g._wire(lab, edges if isinstance(edges, frozenset) else frozenset(edges))
+    eset = frozenset(edges)
+    # A list with no repeated edge can be wired in its own order.
+    g._wire(lab, eset, edges if len(edges) == len(eset) else eset)
     return g
 
 
@@ -283,6 +289,12 @@ def _find_cycle(g: RawGraph) -> list[VertexId] | None:
 PeelTree = list[tuple[VSet, "PeelTree"]]
 
 
+def _overreach(w: VertexId, t: VertexId, clique) -> NotWellFormed:
+    """The error for a predecessor w of clique that also implies t."""
+    return NotWellFormed(f"vertex {w} implies {t} but also the conclusion "
+                         f"set {{{', '.join(clique)}}}", witness=(w, t))
+
+
 def _peel(g: RawGraph) -> PeelTree:
     """Decompose an acyclic graph into nested conclusion cliques.
 
@@ -297,6 +309,10 @@ def _peel(g: RawGraph) -> PeelTree:
     some descendant level, so the expensive disjointness test on
     materialised closures is never needed.
 
+    Conclusions group by their predecessor lists, ascending from ``_wire``,
+    so a key is already its nested level's conclusion list; a level with
+    one conclusion, as every level of a chain is, skips the grouping.
+
     Raises NotWellFormed, with leftover vertices (detected by the cover
     check at the end) standing in for cycles; ``validate`` tells the two
     apart.
@@ -305,14 +321,25 @@ def _peel(g: RawGraph) -> PeelTree:
     peeled: set[VertexId] = set()
     root: PeelTree = []
     top = [v for v in g._sorted_vertices if not succs[v]]
-    stack: list[tuple[list[VertexId], PeelTree]] = [(top, root)]
+    stack: list[tuple[VSet | list[VertexId], PeelTree]] = [(top, root)]
     while stack:
         concl, node = stack.pop()
-        if not concl:
+        if len(concl) == 1:
+            # One clique: peeling it first leaves the same check.
+            key = tuple(preds[concl[0]])
+            peeled.add(concl[0])
+            for w in key:
+                for t in succs[w]:
+                    if t not in peeled:
+                        raise _overreach(w, t, concl)
+            child = []
+            node.append((tuple(concl), child))
+            if key:
+                stack.append((key, child))
             continue
-        groups: dict[frozenset[VertexId], list[VertexId]] = {}
+        groups: dict[VSet, list[VertexId]] = {}
         for c in concl:  # ascending, so each clique collects ascending
-            groups.setdefault(frozenset(preds[c]), []).append(c)
+            groups.setdefault(tuple(preds[c]), []).append(c)
         # Check every clique of this level before peeling any of them:
         # a predecessor must point at its whole clique and nothing else.
         for key, clique in groups.items():
@@ -320,17 +347,14 @@ def _peel(g: RawGraph) -> PeelTree:
             for w in key:
                 for t in succs[w]:
                     if t not in cset and t not in peeled:
-                        raise NotWellFormed(
-                            f"vertex {w} implies {t} but also the "
-                            f"conclusion set {{{', '.join(clique)}}}",
-                            witness=(w, t))
+                        raise _overreach(w, t, clique)
         for clique in groups.values():
             peeled.update(clique)
         for key, clique in groups.items():
             child: PeelTree = []
             node.append((tuple(clique), child))
             if key:
-                stack.append((sorted(key), child))
+                stack.append((key, child))
     if len(peeled) != len(g):
         leftover = min(set(g._sorted_vertices) - peeled)
         raise NotWellFormed(f"vertex {leftover} was never decomposed",
@@ -342,7 +366,9 @@ def validate(g: RawGraph) -> LogicalGraph:
     """Check acyclicity and well-formedness; return the promoted graph.
 
     Raises CyclicEdges with a witness cycle, or NotWellFormed with an
-    offending vertex pair, when the graph has no formula reading.
+    offending vertex pair, when the graph has no formula reading.  The pair
+    (w, t) is the first the peel meets, taking cliques by least conclusion
+    and w and t ascending, so it does not depend on hash order.
     """
     try:
         tree = _peel(g)
@@ -389,11 +415,14 @@ def _up_closure(g: RawGraph, seeds: Iterable[VertexId]) -> set[VertexId]:
 
 def _restrict(g: RawGraph, closure: set[VertexId], cls: type) -> RawGraph:
     # Closure is up-closed, so collecting each member's in-edges is exactly
-    # the induced edge set.
+    # the induced edge set.  Members in g's order make _wire's sort one run;
+    # a closure much smaller than g is cheaper to sort than to filter g for.
     lab = g.labelling
     preds = g._preds
-    return _graph(cls, {v: lab[v] for v in closure},
-                  [(w, v) for v in closure for w in preds[v]])
+    order = (sorted(closure, key=str.__str__) if 8 * len(closure) < len(g)
+             else [v for v in g._sorted_vertices if v in closure])
+    return _graph(cls, {v: lab[v] for v in order},
+                  [(w, v) for v in order for w in preds[v]])
 
 
 def assumption_graph(g: RawGraph, v: VertexId) -> RawGraph:
@@ -547,8 +576,27 @@ def to_json(g: RawGraph) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _file_edges(edges: list, named: dict[str, VertexId]
+                ) -> list[tuple[VertexId, VertexId]]:
+    """Resolve edges one by one; raise at the first bad one in file order."""
+    pairs = []
+    for e in edges:
+        if (not isinstance(e, list) or len(e) != 2
+                or not all(isinstance(x, str) and x for x in e)):
+            raise Error(f"invalid graph file: bad edge {e!r}")
+        src, dst = named.get(e[0]), named.get(e[1])
+        if src is None or dst is None:
+            raise UnknownVertex(VertexId(e[0] if src is None else e[1]))
+        pairs.append((src, dst))
+    return pairs
+
+
 def from_json(text: str) -> RawGraph:
-    """Parse the graph file format; key and edge order are not significant."""
+    """Parse the graph file format; key and edge order are not significant.
+
+    Endpoints resolve in one pass through the file's own name table, so the
+    graph skips ``RawGraph``'s re-check; ``_file_edges`` reports bad edges.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -563,23 +611,19 @@ def from_json(text: str) -> RawGraph:
     if not isinstance(vertices, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in vertices.items()):
         raise Error("invalid graph file: \"vertices\" must map names to labels")
-    lab = {}
-    named: dict[str, VertexId] = {}  # edge endpoints resolve through this
+    vertex, label = VertexId._interned.get, LabelId._interned.get
     try:
-        for k, v in vertices.items():
-            named[k] = vertex = VertexId(k)
-            lab[vertex] = LabelId(v)
+        lab = {vertex(k) or VertexId(k): label(v) or LabelId(v)
+               for k, v in vertices.items()}
     except ValueError as exc:
         raise Error(f"invalid graph file: {exc}") from None
     if not isinstance(edges, list):
         raise Error("invalid graph file: \"edges\" must be a list")
-    pairs = []
-    for e in edges:
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, str) and x for x in e)):
-            raise Error(f"invalid graph file: bad edge {e!r}")
-        src, dst = named.get(e[0]), named.get(e[1])
-        if src is None or dst is None:
-            raise UnknownVertex(VertexId(e[0] if src is None else e[1]))
-        pairs.append((src, dst))
-    return RawGraph(lab, pairs)
+    named = dict(zip(vertices, lab))  # edge endpoints resolve through this
+    try:
+        # A 2-character string or a 2-key dict would unpack as an edge.
+        pairs = [(named[s], named[d]) for e in edges
+                 for s, d in (e if type(e) is list else (),)]
+    except (KeyError, TypeError, ValueError):
+        pairs = _file_edges(edges, named)
+    return _graph(RawGraph, lab, pairs)

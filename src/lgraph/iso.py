@@ -175,14 +175,17 @@ def _colours(g: RawGraph, table: dict) -> tuple[dict[VertexId, int],
 def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterator[VMap]:
     if len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
         return
-    if sorted(g1.labelling.values()) != sorted(g2.labelling.values()):
+    # Plain-string order: the same verdict, no Python-level comparisons.
+    if (sorted(g1.labelling.values(), key=str.__str__)
+            != sorted(g2.labelling.values(), key=str.__str__)):
         return
     table: dict = {}
     colours1, minimals1 = _colours(g1, table)
     colours2, minimals2 = _colours(g2, table)
     if len(minimals1) != len(minimals2):
         return
-    cycle = _find_cycle(g1)
+    # A peel tree exists only for an acyclic graph.
+    cycle = None if g1._peel_cache is not None else _find_cycle(g1)
     if cycle is not None:
         raise CyclicEdges(cycle)
     if sorted(colours1.values()) != sorted(colours2.values()):

@@ -16,13 +16,21 @@ recursive parser, printer and canonical walk, kept as they were: they run
 out of stack on deep formulas, but their outputs, errors included, are the
 ones the package's stack walks must reproduce exactly.  ``ref_parse`` reads
 the package's own tokens, since tokenising is not what it checks.
+``ref_from_json`` and ``ref_peel`` are the package's earlier graph-file
+reader and peel, kept as they were: the reader checks and resolves one edge
+at a time and builds through ``RawGraph(...)``, and the peel groups by
+frozensets, so its ``NotWellFormed`` witness depends on hash order.  Their
+graphs, trees, errors and messages on accepted inputs are the ones the
+package's fast paths must reproduce exactly.
 """
 
+import json
 from itertools import permutations
 
 from lgraph import algebra
-from lgraph.core import (CyclicEdges, LabelId, LogicalGraph, PeelTree,
-                         RawGraph, UnknownVertex, VertexId, _find_cycle)
+from lgraph.core import (CyclicEdges, Error, LabelId, LogicalGraph,
+                         NotWellFormed, PeelTree, RawGraph, UnknownVertex,
+                         VertexId, _find_cycle)
 from lgraph.mill import (Atom, Decomposition, DecompositionPart, Formula,
                          Lolli, ParseError, Tensor, Unit, _tokenize)
 from lgraph.traversal import Action, traverse_dfs
@@ -154,6 +162,87 @@ def ref_valid(g: RawGraph) -> bool:
         return True
     except ValueError:
         return False
+
+
+def ref_from_json(text: str) -> RawGraph:
+    """Parse the graph file format; key and edge order are not significant."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise Error(f"invalid graph file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise Error("invalid graph file: top level must be an object")
+    unknown = set(obj) - {"vertices", "edges", "formula"}
+    if unknown:
+        raise Error(f"invalid graph file: unknown keys {sorted(unknown)}")
+    vertices = obj.get("vertices", {})
+    edges = obj.get("edges", [])
+    if not isinstance(vertices, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in vertices.items()):
+        raise Error("invalid graph file: \"vertices\" must map names to labels")
+    lab = {}
+    named: dict[str, VertexId] = {}  # edge endpoints resolve through this
+    try:
+        for k, v in vertices.items():
+            named[k] = vertex = VertexId(k)
+            lab[vertex] = LabelId(v)
+    except ValueError as exc:
+        raise Error(f"invalid graph file: {exc}") from None
+    if not isinstance(edges, list):
+        raise Error("invalid graph file: \"edges\" must be a list")
+    pairs = []
+    for e in edges:
+        if (not isinstance(e, list) or len(e) != 2
+                or not all(isinstance(x, str) and x for x in e)):
+            raise Error(f"invalid graph file: bad edge {e!r}")
+        src, dst = named.get(e[0]), named.get(e[1])
+        if src is None or dst is None:
+            raise UnknownVertex(VertexId(e[0] if src is None else e[1]))
+        pairs.append((src, dst))
+    return RawGraph(lab, pairs)
+
+
+def ref_peel(g: RawGraph) -> PeelTree:
+    """The linear peel into nested conclusion cliques, grouping by frozensets.
+
+    Raises NotWellFormed, with leftover vertices (detected by the cover
+    check at the end) standing in for cycles.
+    """
+    preds, succs = g._preds, g._succs
+    peeled: set[VertexId] = set()
+    root: PeelTree = []
+    top = [v for v in g._sorted_vertices if not succs[v]]
+    stack: list[tuple[list[VertexId], PeelTree]] = [(top, root)]
+    while stack:
+        concl, node = stack.pop()
+        if not concl:
+            continue
+        groups: dict[frozenset[VertexId], list[VertexId]] = {}
+        for c in concl:  # ascending, so each clique collects ascending
+            groups.setdefault(frozenset(preds[c]), []).append(c)
+        # Check every clique of this level before peeling any of them:
+        # a predecessor must point at its whole clique and nothing else.
+        for key, clique in groups.items():
+            cset = set(clique)
+            for w in key:
+                for t in succs[w]:
+                    if t not in cset and t not in peeled:
+                        raise NotWellFormed(
+                            f"vertex {w} implies {t} but also the "
+                            f"conclusion set {{{', '.join(clique)}}}",
+                            witness=(w, t))
+        for clique in groups.values():
+            peeled.update(clique)
+        for key, clique in groups.items():
+            child: PeelTree = []
+            node.append((tuple(clique), child))
+            if key:
+                stack.append((sorted(key), child))
+    if len(peeled) != len(g):
+        leftover = min(set(g._sorted_vertices) - peeled)
+        raise NotWellFormed(f"vertex {leftover} was never decomposed",
+                            witness=(leftover,))
+    return root
 
 
 def tree_shape(tree):

@@ -12,7 +12,7 @@ from lgraph import (CyclicEdges, LabelId, LogicalGraph, NotWellFormed,
                     full_assumption_graph, induced_subgraph, predecessors,
                     rename_apart, rename_graph, subgraph_relation, successors,
                     to_json, validate, vset)
-from lgraph.core import Error, _fresh_names, fresh_name, peel_tree
+from lgraph.core import Error, _fresh_names, _peel, fresh_name, peel_tree
 from strategies import dag_graphs, raw_graphs, valid_graphs
 from util import G, L, LG, V, names
 
@@ -121,6 +121,15 @@ class TestValidate:
         with pytest.raises(NotWellFormed):
             validate(G("x w1 w2 c1 c2", "x>w1 x>w2 w1>c1 w2>c2"))
 
+    def test_not_well_formed_witness_is_the_first_pair_ascending(self):
+        # a and b both imply c; a also implies x and b also implies y.  The
+        # witness is a's, whatever the hash seed of the process.
+        g = from_json('{"vertices":{"a":"p","b":"p","c":"p","x":"p","y":"p"},'
+                      '"edges":[["a","c"],["a","x"],["b","c"],["b","y"]]}')
+        with pytest.raises(NotWellFormed) as exc:
+            validate(g)
+        assert exc.value.witness == (V("a"), V("x"))
+
     def test_peel_parts_partition_vertices(self):
         g = validate(G(*EXAMPLE_A))
         seen = []
@@ -190,6 +199,23 @@ def test_validate_matches_reference_random(g):
     except NotWellFormed:
         got = False
     assert got == expected
+
+
+@given(dag_graphs())
+def test_peel_matches_the_frozenset_peel_order_included(g):
+    try:
+        expected = refimpl.ref_peel(g)
+    except NotWellFormed:
+        with pytest.raises(NotWellFormed):
+            _peel(g)
+        return
+    assert _peel(g) == expected
+    assert peel_tree(validate(g)) == expected
+
+
+@given(valid_graphs())
+def test_peel_of_translated_graphs_matches_the_frozenset_peel(g):
+    assert _peel(g) == refimpl.ref_peel(g)
 
 
 @given(raw_graphs())
@@ -285,6 +311,20 @@ class TestAssumptionGraphs:
         g = LG(*EXAMPLE_A)
         assert isinstance(assumption_graph(g, V("e")), LogicalGraph)
         assert isinstance(full_assumption_graph(g, V("e")), LogicalGraph)
+
+    def test_small_and_large_closures_give_the_induced_subgraph(self):
+        # A binary tree of 63 vertices: closures from 1 to 63 vertices, so
+        # both the sorted and the filtered member order are taken.
+        edges = " ".join(f"n{i:02d}>n{(i - 1) // 2:02d}" for i in range(1, 63))
+        g = LG(" ".join(f"n{i:02d}" for i in range(63)), edges)
+        for v in g.vertices():
+            for sub, seeds in ((assumption_graph(g, v), [v]),
+                               (full_assumption_graph(g, v),
+                                predecessors(g, v))):
+                expected = induced_subgraph(g, refimpl.up_closure(g, seeds))
+                assert sub == expected
+                assert sub._preds == expected._preds
+                assert sub._succs == expected._succs
 
     @given(valid_graphs())
     def test_assumption_graph_is_up_closed(self, g):
@@ -477,7 +517,41 @@ class TestGraphFiles:
         with pytest.raises(Exception, match="invalid graph file"):
             from_json("digraph {}")
 
+    @pytest.mark.parametrize("edges", [
+        '["ab"]', '[{"a": 1, "b": 2}]', '[["a"]]', '[["a", "b", "a"]]',
+        '[["a", 1]]', '[[null, "a"]]', '[["a", ["b"]]]', '[["", "a"]]',
+        '[["a", "z"], ["a"]]', '[["a"], ["a", "z"]]', '[["z", "a"]]',
+        '[["a", "b"], 7]', '[["a", "b"], ["a", "b"]]', '[]', '{}',
+        '[["a", "b"], ["b", "a"]]'])
+    def test_edges_read_as_the_per_edge_reader_reads_them(self, edges):
+        text = '{"vertices": {"a": "p", "b": "q"}, "edges": %s}' % edges
+        assert _outcome(from_json, text) == _outcome(refimpl.ref_from_json,
+                                                     text)
+
+    @pytest.mark.parametrize("vertices", [
+        '{"a": ""}', '{"": "p"}', '{"a": 1}', '{"a": "p", "": ""}',
+        '{"a": "", "": "p"}', '[]'])
+    def test_vertices_read_as_the_per_edge_reader_reads_them(self, vertices):
+        text = '{"vertices": %s, "edges": [["a", "a"]]}' % vertices
+        assert _outcome(from_json, text) == _outcome(refimpl.ref_from_json,
+                                                     text)
+
+    @given(raw_graphs())
+    def test_reads_any_file_as_the_per_edge_reader_does(self, g):
+        text = to_json(g)
+        assert _outcome(from_json, text) == _outcome(refimpl.ref_from_json,
+                                                     text)
+
     @given(dag_graphs())
     def test_round_trip_any_graph(self, g):
         assert from_json(to_json(g)) == g
         assert g._sorted_edges == tuple(sorted(g.edges))
+
+
+def _outcome(read, text):
+    """The graph read from text, or the type and message of the error."""
+    try:
+        g = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(g), g, g.vertices(), g._preds, g._succs
