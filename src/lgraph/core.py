@@ -259,6 +259,8 @@ def conclusions(g: RawGraph) -> VSet:
 
 def _find_cycle(g: RawGraph) -> list[VertexId] | None:
     """Return some edge cycle, or None if the graph is acyclic."""
+    if g._peel_cache is not None:  # only an acyclic graph has a peel tree
+        return None
     out_deg = {v: len(g._succs[v]) for v in g._sorted_vertices}
     ready = [v for v, d in out_deg.items() if d == 0]
     seen = len(ready)
@@ -367,8 +369,9 @@ def validate(g: RawGraph) -> LogicalGraph:
 
     Raises CyclicEdges with a witness cycle, or NotWellFormed with an
     offending vertex pair, when the graph has no formula reading.  The pair
-    (w, t) is the first the peel meets, taking cliques by least conclusion
-    and w and t ascending, so it does not depend on hash order.
+    (w, t) is the first the peel meets, so it does not depend on hash order:
+    within a level, cliques by least conclusion and w and t ascending; the
+    nested levels depth first, the last clique's level first.
     """
     try:
         tree = _peel(g)
@@ -415,12 +418,11 @@ def _up_closure(g: RawGraph, seeds: Iterable[VertexId]) -> set[VertexId]:
 
 def _restrict(g: RawGraph, closure: set[VertexId], cls: type) -> RawGraph:
     # Closure is up-closed, so collecting each member's in-edges is exactly
-    # the induced edge set.  Members in g's order make _wire's sort one run;
-    # a closure much smaller than g is cheaper to sort than to filter g for.
+    # the induced edge set.  Members in vertex order hand _wire one run to
+    # sort and an edge list in vertex order.
     lab = g.labelling
     preds = g._preds
-    order = (sorted(closure, key=str.__str__) if 8 * len(closure) < len(g)
-             else [v for v in g._sorted_vertices if v in closure])
+    order = sorted(closure, key=str.__str__)
     return _graph(cls, {v: lab[v] for v in order},
                   [(w, v) for v in order for w in preds[v]])
 

@@ -184,8 +184,7 @@ def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterator[VMap]:
     colours2, minimals2 = _colours(g2, table)
     if len(minimals1) != len(minimals2):
         return
-    # A peel tree exists only for an acyclic graph.
-    cycle = None if g1._peel_cache is not None else _find_cycle(g1)
+    cycle = _find_cycle(g1)
     if cycle is not None:
         raise CyclicEdges(cycle)
     if sorted(colours1.values()) != sorted(colours2.values()):

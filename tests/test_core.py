@@ -130,6 +130,15 @@ class TestValidate:
             validate(g)
         assert exc.value.witness == (V("a"), V("x"))
 
+    def test_not_well_formed_witness_on_nested_levels(self):
+        # Both nested levels overreach, p in c1's and r in c2's; the level
+        # of the last clique, c2's, is checked first.
+        g = G("a b c1 c2 p q r s x y",
+              "a>c1 b>c1 x>c2 y>c2 p>a p>b q>b r>x r>y s>y")
+        with pytest.raises(NotWellFormed) as exc:
+            validate(g)
+        assert exc.value.witness == (V("r"), V("y"))
+
     def test_peel_parts_partition_vertices(self):
         g = validate(G(*EXAMPLE_A))
         seen = []
