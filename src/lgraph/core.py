@@ -571,9 +571,10 @@ def rename_graph(g: RawGraph, mapping: Mapping[VertexId, VertexId]) -> RawGraph:
 
 def to_json(g: RawGraph) -> str:
     """Canonical file form: sorted vertex keys, lexicographically sorted edges."""
+    name = str.__str__  # the plain name, without the property call
     obj = {
-        "vertices": {v.name: l.name for v, l in g.labelling.items()},
-        "edges": [[s.name, d.name] for s, d in g._sorted_edges],
+        "vertices": {name(v): name(l) for v, l in g.labelling.items()},
+        "edges": [[name(s), name(d)] for s, d in g._sorted_edges],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 

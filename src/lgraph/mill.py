@@ -15,7 +15,8 @@ it, and ``normalize`` reads it off a formula's graph, collapsing the
 commutativity/associativity/currying symmetries.  Formulas whose graphs
 fail validation have no canonical form; ``normalize`` raises NotInFragment.
 Parsing, printing, translation and the canonical walk run on explicit
-stacks, so any depth works; one table, ``_SYNTAX``, sets the parentheses.
+stacks, so any depth works.  The parser reads the tokens of one regex scan,
+and text is built from pieces joined once; ``_SYNTAX`` sets parentheses.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import Sequence, Union
 
 from . import algebra
@@ -80,36 +80,23 @@ class NotInFragment(Error):
         self.cause = cause
 
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|(\d+)|(-o)|([*()]))")
+# One token per match: an atom, a numeral, a connective, a parenthesis, or
+# any other character alone, which is a bad token.
+_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|-o|[*()]|\S)")
+_IS_ATOM = re.compile(r"[A-Za-z]").match
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError(at, "an atom, '1', '*', '-o', or parenthesis",
-                             rest[0])
-        ident, digits, lolli, punct = m.groups()
-        if ident is not None:
-            tokens.append(("atom", ident, m.start(1)))
-        elif digits is not None:
-            if digits != "1":
-                raise ParseError(m.start(2), "'1' (the only numeric literal)",
-                                 digits)
-            tokens.append(("unit", digits, m.start(2)))
-        elif lolli is not None:
-            tokens.append(("-o", lolli, m.start(3)))
-        else:
-            tokens.append((punct, punct, m.start(4)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _parse_error(text: str, i: int, expected: str) -> ParseError:
+    """The error at token i of text, or at the end past the last token,
+    unless text holds a bad token: that error wins wherever it is."""
+    spans = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)]
+    for tok, pos in spans:
+        if not _IS_ATOM(tok) and tok not in ("1", "*", "-o", "(", ")"):
+            return ParseError(pos, "'1' (the only numeric literal)"
+                              if tok.isdecimal() else
+                              "an atom, '1', '*', '-o', or parenthesis", tok)
+    found, pos = spans[i] if i < len(spans) else ("", len(text))
+    return ParseError(pos, expected, found)
 
 
 # The concrete syntax, for each connective: its infix text, its own
@@ -118,80 +105,105 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # tighter than '-o', '*' associates to the left and '-o' to the right.
 _SYNTAX = {Tensor: (" * ", 2, 2, 3), Lolli: (" -o ", 1, 2, 1)}
 _ATOM = 3
+_PREC = {kind: prec for kind, (_, prec, *_) in _SYNTAX.items()}
 _INFIX = {text.strip(): kind for kind, (text, *_) in _SYNTAX.items()}
-
-
-def _join(kind, left: tuple[str, int], right: tuple[str, int]
-          ) -> tuple[str, int]:
-    """The text and precedence of kind(left, right) from its operands'."""
-    infix, prec, need_left, need_right = _SYNTAX[kind]
-    left_text = left[0] if left[1] >= need_left else f"({left[0]})"
-    right_text = right[0] if right[1] >= need_right else f"({right[0]})"
-    return f"{left_text}{infix}{right_text}", prec
 
 
 def parse(text: str) -> Formula:
     """Parse the concrete syntax: '*' binds tighter than right-associative '-o'.
 
-    Operator precedence over two explicit stacks, operands and pending
-    '(' and connectives, so any nesting depth parses.  A connective first
-    applies the pending ones whose result it takes as its left operand
-    without parentheses: both '*' and '-o' apply the pending '*'.  A ')' and
-    the end of input apply all of them back to the open parenthesis.
+    One regex scan gives the token texts.  Operator precedence over two
+    explicit stacks, operands and pending '(' and connectives, reads them,
+    so any nesting depth parses.  A connective first applies the pending
+    ones whose result it takes as its left operand without parentheses:
+    both '*' and '-o' apply the pending '*'.  A ')' and the end of input
+    apply all of them back to the open parenthesis.  One Atom is made per
+    distinct label.  Offsets are found only for an error, and a bad token
+    anywhere wins over a syntax error before it.
     """
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of input
+    atoms = {"1": Unit()}
     operands: list = []
     pending: list = []  # None for '(', else the connective's class
     want_operand = True
-    for kind, value, pos in _tokenize(text):
+    for i, tok in enumerate(tokens):
         if want_operand:
-            if kind == "(":
-                pending.append(None)
-                continue
-            if kind != "atom" and kind != "unit":
-                raise ParseError(pos, "an atom, '1', or '('", value)
-            operands.append(Atom(LabelId(value)) if kind == "atom" else Unit())
+            f = atoms.get(tok)
+            if f is None:
+                if tok == "(":
+                    pending.append(None)
+                    continue
+                if not _IS_ATOM(tok):
+                    expected = "an atom, '1', or '('"
+                    break
+                f = atoms[tok] = Atom(LabelId(tok))
+            operands.append(f)
             want_operand = False
             continue
-        op = _INFIX.get(kind)
+        op = _INFIX.get(tok)
         need = 0 if op is None else _SYNTAX[op][2]
         while pending and pending[-1] is not None and \
-                _SYNTAX[pending[-1]][1] >= need:
+                _PREC[pending[-1]] >= need:
             right = operands.pop()
-            operands.append(pending.pop()(operands.pop(), right))
+            operands[-1] = pending.pop()(operands[-1], right)
         if op is not None:
             pending.append(op)
             want_operand = True
-        elif kind == ")" and pending:
+        elif tok == ")" and pending:
             pending.pop()
-        elif kind == "end" and not pending:
+        elif tok == "" and not pending:
             return operands[0]
         else:
-            raise ParseError(pos, "')'" if pending else "end of input", value)
+            expected = "')'" if pending else "end of input"
+            break
+    raise _parse_error(text, i, expected)
+
+
+class _Piece(str):
+    """Text pushed among formulas by ``print_formula``; a type of its own,
+    so that a str in place of a formula is still a TypeError."""
+
+
+# The text between the operands of each connective, by whether its left
+# and its right operand take parentheses.
+_BETWEEN = {(kind, left, right): _Piece(")" * left + infix + "(" * right)
+            for kind, (infix, *_) in _SYNTAX.items()
+            for left in (False, True) for right in (False, True)}
+_CLOSE = _Piece(")")
 
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse(print_formula(f)) == f.
 
-    A post-order walk over an explicit stack that folds ``_join``, so any
-    nesting depth prints.
+    A top-down walk over an explicit stack, so any nesting depth prints.
+    An operand's parentheses depend only on its own type and its parent's
+    ``_SYNTAX`` entry, so text is emitted in order and joined once.
     """
-    done: list[tuple[str, int]] = []
+    out: list[str] = []
     todo: list = [f]
     while todo:
         x = todo.pop()
         kind = type(x)
         if kind is Atom:
-            done.append((x.label.name, _ATOM))
-        elif kind is Unit:
-            done.append(("1", _ATOM))
+            out.append(x.label)
+        elif kind is _Piece:
+            out.append(x)
         elif kind is Tensor or kind is Lolli:
-            todo += (kind, x.right, x.left)
-        elif x is Tensor or x is Lolli:
-            right = done.pop()
-            done.append(_join(x, done.pop(), right))
+            _, _, need_left, need_right = _SYNTAX[kind]
+            left, right = x.left, x.right
+            wrap_left = _PREC.get(type(left), _ATOM) < need_left
+            wrap_right = _PREC.get(type(right), _ATOM) < need_right
+            if wrap_right:
+                todo.append(_CLOSE)
+            todo += (right, _BETWEEN[kind, wrap_left, wrap_right], left)
+            if wrap_left:
+                out.append("(")
+        elif kind is Unit:
+            out.append("1")
         else:
             raise TypeError(f"not a formula: {x!r}")
-    return done[0][0]
+    return "".join(out)
 
 
 def _string_order(m: int) -> Sequence[int]:
@@ -313,65 +325,105 @@ class Decomposition:
     parts: tuple[DecompositionPart, ...]
 
 
-def _tensor_text(pieces: list[tuple[str, int]]) -> tuple[str, int]:
-    """The right-nested tensor of a nonempty list of (text, precedence)."""
-    tensor = pieces[-1]
-    for piece in reversed(pieces[:-1]):
-        tensor = _join(Tensor, piece, tensor)
-    return tensor
+def _flat(piece) -> str:
+    """The text of a piece: a str, or a tuple of pieces in order."""
+    out: list[str] = []
+    todo = [piece]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            todo += reversed(x)
+        else:
+            out.append(x)
+    return "".join(out)
 
 
-def _canonicalize(g: LogicalGraph) -> tuple[Decomposition, str]:
+def _right_tensor(operands: list[str]) -> str:
+    """o1 * (o2 * (... * ok)), as ``_SYNTAX`` brackets it, from k >= 2
+    operand texts that carry their own parentheses already."""
+    return (" * (".join(operands[:-1]) + " * " + operands[-1]
+            + ")" * (len(operands) - 2))
+
+
+_NO_PARTS = ("1", _ATOM)
+
+
+def _canonicalize(g: LogicalGraph, nodes: list | None = None) -> str:
     """Sort g's peel tree canonically and compose the canonical key.
 
     Clique members tensor in ascending label order, implied by their
     assumptions' text when there are any; sibling parts sort by their text
     and tensor together.  A post-order walk over an explicit stack: a list
     opens a level, a clique closes the part it heads and an int n closes the
-    level of the last n parts, so any depth is walked.
+    level of the last n parts, so any depth is walked.  Texts are pieces,
+    flattened where a level of two or more parts sorts them and at the end.
+    Given a list, the walk leaves the ``Decomposition`` in it.
     """
+    _, tensor, tensor_left, tensor_right = _SYNTAX[Tensor]
+    _, lolli, lolli_left, _ = _SYNTAX[Lolli]
     labelling = g.labelling
-    done: list = []  # (text, precedence, part or level's decomposition)
-    no_parts = ("1", _ATOM, Decomposition(()))
+    done: list = []  # (piece, precedence) per closed part or level
     todo: list = [peel_tree(g)]
     while todo:
         x = todo.pop()
-        if x == []:  # a level without parts: 1, one shared entry
-            done.append(no_parts)
-        elif type(x) is list:
+        if type(x) is list:
             todo.append(len(x))
-            for clique, children in reversed(x):
-                todo += (clique, children)
+            for part in reversed(x):
+                todo += part  # its clique, then its children
         elif type(x) is tuple:
-            sub_text, sub_prec, sub = done.pop()
-            labels = sorted(labelling[v] for v in x)
-            text, prec = _tensor_text([(l.name, _ATOM) for l in labels])
-            if sub.parts:
-                text, prec = _join(Lolli, (sub_text, sub_prec), (text, prec))
-            done.append((text, prec, DecompositionPart(x, sub)))
+            sub = done.pop()
+            if len(x) == 1:
+                text, prec = str.__str__(labelling[x[0]]), _ATOM
+            else:
+                text, prec = _right_tensor(sorted([labelling[v] for v in x],
+                                                  key=str.__str__)), tensor
+            if sub is not _NO_PARTS:
+                text, prec = ((sub[0], " -o ", text) if sub[1] >= lolli_left
+                              else ("(", sub[0], ") -o ", text)), lolli
+            done.append((text, prec))
+            if nodes is not None:
+                nodes.append(DecompositionPart(x, nodes.pop()))
+        elif x == 0:  # a level without parts: 1
+            done.append(_NO_PARTS)
+            if nodes is not None:
+                nodes.append(Decomposition(()))
+        elif x == 1:  # one part, no order to find
+            if nodes is not None:
+                nodes.append(Decomposition((nodes.pop(),)))
         else:
-            cut = len(done) - x
-            parts = sorted(done[cut:], key=itemgetter(0))
-            del done[cut:]
-            text, prec = _tensor_text([(t, p) for t, p, _ in parts])
-            done.append((text, prec,
-                         Decomposition(tuple(p for _, _, p in parts))))
-    text, _, decomposition = done.pop()
-    return decomposition, text
+            level = sorted([(_flat(piece), prec, i) for i, (piece, prec)
+                            in enumerate(done[-x:])])
+            done[-x:] = [(_right_tensor(
+                [t if p >= tensor_left else f"({t})" for t, p, _ in level[:-1]]
+                + [t if p >= tensor_right else f"({t})"
+                   for t, p, _ in level[-1:]]), tensor)]
+            if nodes is not None:
+                cut = len(nodes) - x
+                nodes[cut:] = [Decomposition(tuple(nodes[cut + i]
+                                                   for _, _, i in level))]
+    return _flat(done[0][0])
 
 
 def decompose(g: LogicalGraph) -> Decomposition:
     """The conclusion-clique decomposition of a validated graph.
 
     Parts at every level are ordered canonically (by their rendered
-    formulas), matching the order ``to_formula`` emits.
+    formulas), matching the order ``to_formula`` emits; the order comes
+    from the walk that composes the canonical key.
     """
-    return _canonicalize(g)[0]
+    nodes: list = []
+    _canonicalize(g, nodes)
+    return nodes[0]
 
 
 def canonical_key(g: LogicalGraph) -> str:
-    """The printed canonical formula; equal exactly on alpha-equivalent graphs."""
-    return _canonicalize(g)[1]
+    """The printed canonical formula; equal exactly on alpha-equivalent graphs.
+
+    Composed from pieces: one join per clique, one per level of two or
+    more parts, whose sort needs their text, and one for the whole key.
+    No ``Decomposition`` is built.
+    """
+    return _canonicalize(g)
 
 
 def to_formula(g: LogicalGraph) -> Formula:

@@ -14,8 +14,9 @@ package's lazy search must reproduce map for map.  ``ref_parse``,
 ``ref_print_formula`` and ``ref_canonicalize`` are the package's earlier
 recursive parser, printer and canonical walk, kept as they were: they run
 out of stack on deep formulas, but their outputs, errors included, are the
-ones the package's stack walks must reproduce exactly.  ``ref_parse`` reads
-the package's own tokens, since tokenising is not what it checks.
+ones the package's stack walks must reproduce exactly.  ``ref_parse``
+reads the tokens of the package's earlier tokenizer, ``_tokenize``, kept
+as it was, so lexical errors are checked against a second route too.
 ``ref_from_json`` and ``ref_peel`` are the package's earlier graph-file
 reader and peel, kept as they were: the reader checks and resolves one edge
 at a time and builds through ``RawGraph(...)``, and the peel groups by
@@ -25,6 +26,7 @@ package's fast paths must reproduce exactly.
 """
 
 import json
+import re
 from itertools import permutations
 
 from lgraph import algebra
@@ -32,7 +34,7 @@ from lgraph.core import (CyclicEdges, Error, LabelId, LogicalGraph,
                          NotWellFormed, PeelTree, RawGraph, UnknownVertex,
                          VertexId, _find_cycle)
 from lgraph.mill import (Atom, Decomposition, DecompositionPart, Formula,
-                         Lolli, ParseError, Tensor, Unit, _tokenize)
+                         Lolli, ParseError, Tensor, Unit)
 from lgraph.traversal import Action, traverse_dfs
 
 
@@ -280,6 +282,38 @@ def ref_to_graph(f):
         return algebra.implies(ref_to_graph(f.left),
                                ref_to_graph(f.right)).graph
     raise TypeError(f"not a formula: {f!r}")
+
+
+_TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|(\d+)|(-o)|([*()]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            at = len(text) - len(rest)
+            raise ParseError(at, "an atom, '1', '*', '-o', or parenthesis",
+                             rest[0])
+        ident, digits, lolli, punct = m.groups()
+        if ident is not None:
+            tokens.append(("atom", ident, m.start(1)))
+        elif digits is not None:
+            if digits != "1":
+                raise ParseError(m.start(2), "'1' (the only numeric literal)",
+                                 digits)
+            tokens.append(("unit", digits, m.start(2)))
+        elif lolli is not None:
+            tokens.append(("-o", lolli, m.start(3)))
+        else:
+            tokens.append((punct, punct, m.start(4)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _Parser:

@@ -575,3 +575,45 @@ def test_linear_scaling_of_alpha_equiv_on_a_curried_star():
     assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
     print(f"\nacceptance alpha_equiv curried-star scaling: PASS (n={sizes}: "
           + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
+
+
+def _right_tensor(labels):
+    """l0 * (l1 * (... * ln)), the shape of one k-atom clique's key."""
+    f = Atom(labels[-1])
+    for label in reversed(labels[:-1]):
+        f = Tensor(Atom(label), f)
+    return f
+
+
+def test_linear_scaling_of_canonical_key_and_print_formula():
+    # Text was composed bottom-up, copying both operands at every level, so
+    # the key and the printed text of a 10^5-deep formula took seconds.
+    # Texts are checked against closed forms: == on deep formulas recurses.
+    sizes = [10_000, 31_623, 100_000]
+    rows = {}
+    for n in sizes:
+        labels = _labels(n)
+        right = "".join(f"{l} * (" for l in labels[:-2]) + \
+            f"{labels[-2]} * {labels[-1]}" + ")" * (n - 2)
+        ordered = sorted(labels)
+        key = "".join(f"{l} * (" for l in ordered[:-2]) + \
+            f"{ordered[-2]} * {ordered[-1]}" + ")" * (n - 2)
+        chain = "(" * (n - 2) + f"{labels[0]} -o {labels[1]}" + \
+            "".join(f") -o {l}" for l in labels[2:])
+        for shape, f, printed, keyed in (
+                ("right *", _right_tensor(labels), right, key),
+                ("left -o", left_lolli(labels), chain, chain)):
+            g = validate(to_graph(f))
+            assert print_formula(f) == printed
+            assert canonical_key(g) == keyed
+            rows.setdefault(f"print_formula {shape}", []).append(
+                _best_of(3, lambda: print_formula(f)))
+            rows.setdefault(f"canonical_key {shape}", []).append(
+                _best_of(3, lambda: canonical_key(g)))
+    for name, times in rows.items():
+        assert times[-1] < 1.0, f"{name} at 1e5: {times[-1]:.3f}s"
+        slope = _loglog_slope(sizes, times)
+        assert 0.4 < slope < 1.6, f"{name}: log-log slope {slope:.2f}"
+    table = "; ".join(f"{name}: " + "/".join(f"{t * 1000:.0f}" for t in times)
+                      + " ms" for name, times in rows.items())
+    print(f"\nacceptance key/print scaling: PASS (n={sizes}; {table})")

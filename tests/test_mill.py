@@ -405,6 +405,41 @@ class TestMatchesTheRecursiveOracle:
             assert self.outcome(parse, text) == \
                 self.outcome(refimpl.ref_parse, text), text
 
+    @staticmethod
+    def printed(parser, text):
+        try:
+            return print_formula(parser(text))
+        except ParseError as exc:
+            return type(exc), exc.position, exc.expected, str(exc)
+
+    def test_bad_tokens_and_whitespace_at_every_position(self):
+        # The parser reads token texts and works out offsets only for an
+        # error, so each bad token and each whitespace character goes
+        # everywhere among the tokens of valid and broken texts.  "²" is a
+        # digit to str.isdigit but not to the tokenizer's \d; "٣" is both.
+        inserts = ["$", "2", "-", "-x", "⊗", "\t", "\n", "²", "٣"]
+        rng = random.Random(20261021)
+        valid = [print_formula(_random_formula(rng, rng.randint(1, 6), [P, Q]))
+                 for _ in range(60)]
+        broken = [" ".join(rng.choice(["p", "q", "1", "*", "-o", "(", ")"])
+                           for _ in range(rng.randint(0, 6)))
+                  for _ in range(60)]
+        for text in valid + broken:
+            words = [tok for _, tok, _ in refimpl._tokenize(text)][:-1]
+            for i in range(len(words) + 1):
+                for insert in inserts:
+                    for gap in (" ", ""):
+                        probe = gap.join(words[:i] + [insert] + words[i:])
+                        assert self.printed(parse, probe) == \
+                            self.printed(refimpl.ref_parse, probe), probe
+
+    def test_a_bad_token_wins_over_an_earlier_syntax_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse("p q $")
+        assert exc.value.position == 4
+        assert str(exc.value) == ("at 4: expected an atom, '1', '*', '-o', "
+                                  "or parenthesis, found '$'")
+
 
 def _timed(fn, arg):
     started = time.perf_counter()
