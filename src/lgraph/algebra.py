@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (LabelId, LogicalGraph, NotASubgraphByName, RawGraph,
-                   VertexId, _graph, _renamed_apart)
+                   VertexId, _graph, _renamed_apart, conclusions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +66,7 @@ def _union_parts(h: RawGraph, k: RawGraph):
     lab, edges, inj1 = _renamed_apart(h, frozenset(k.labelling))
     lab.update(k.labelling)
     edges.extend(k.edges)
-    inj2 = {v: v for v in k._sorted_vertices}
+    inj2 = {v: v for v in k.vertices()}
     return lab, edges, inj1, inj2
 
 
@@ -106,9 +106,8 @@ def implies(h: RawGraph, k: RawGraph) -> SumResult:
     not guaranteed well-formed, so the result stays raw.
     """
     lab, edges, inj1, inj2 = _union_parts(h, k)
-    ends = [w for w in k._sorted_vertices if not k._succs[w]]
-    for v in h._sorted_vertices:
-        if not h._succs[v]:
-            src = inj1[v]
-            edges.extend((src, w) for w in ends)
+    ends = conclusions(k)
+    for v in conclusions(h):
+        src = inj1[v]
+        edges.extend((src, w) for w in ends)
     return SumResult(_graph(RawGraph, lab, edges), inj1, inj2)

@@ -10,6 +10,7 @@ well-formed "no" (not equivalent, not isomorphic, graph rejected by check),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import algebra, core, iso, mill, oracle
@@ -179,9 +180,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    atoms = [core.LabelId(name.strip())
-             for name in args.atoms.split(",") if name.strip()]
-    formulas = oracle.enumerate_formulas(atoms, args.max_connectives,
+    names = [name.strip() for name in args.atoms.split(",") if name.strip()]
+    bad = [name for name in names if not re.fullmatch(mill._ATOM_NAME, name)]
+    if bad:  # a name the syntax would not read back as that atom
+        return _fail("usage", f"--atoms: {bad[0]!r} is not an atom name "
+                     "(a letter, then letters, digits or _)")
+    if args.max_connectives < 0:
+        return _fail("usage", "--max-connectives must not be negative")
+    formulas = oracle.enumerate_formulas(list(map(core.LabelId, names)),
+                                         args.max_connectives,
                                          max_count=args.max_count)
     if not args.classes:
         for f in formulas:

@@ -117,36 +117,38 @@ class RawGraph:
 
     ``labelling`` is a total map from vertices to labels (its domain is the
     vertex set, its image the label set, so every label has an instance by
-    construction).  ``edges`` is a set of ordered vertex pairs whose
-    endpoints must be labelled.  Instances are immutable; derived adjacency
-    is precomputed so predecessor/successor queries are O(degree).
+    construction).  ``edges`` is a set of ordered vertex pairs; the first
+    endpoint without a label, in the caller's order, raises UnknownVertex.
+    Instances are immutable and all built by ``_wire``, which precomputes
+    adjacency so predecessor/successor queries are O(degree).
     """
 
-    __slots__ = ("labelling", "edges", "_sorted_vertices", "_edge_cache",
-                 "_preds", "_succs", "_peel_cache", "_hash")
+    __slots__ = ("labelling", "edges", "_sorted_vertices", "_preds", "_succs",
+                 "_peel_cache")
 
     def __init__(self, labelling: Mapping[VertexId, LabelId],
                  edges: Iterable[tuple[VertexId, VertexId]] = ()):
         lab = dict(labelling)
-        eset = edges if isinstance(edges, frozenset) else frozenset(edges)
-        for src, dst in eset:
+        edges = list(edges)
+        for src, dst in edges:
             if src not in lab or dst not in lab:
                 raise UnknownVertex(src if src not in lab else dst)
-        self._wire(lab, eset, eset)
+        self._wire(lab, edges)
 
-    def _wire(self, lab: dict, eset: frozenset, pairs):
-        """Fill the slots; lab is owned and edge endpoints are labelled.
+    def _wire(self, lab: dict, edges: list) -> None:
+        """Fill the slots: lab is owned and labels every edge endpoint.
 
-        pairs lists eset once, in the order to wire it: on a large graph a
-        list in vertex order is much faster than eset's hash order.
+        edges is wired in its own order when it repeats no edge, since on a
+        large graph vertex order is much faster than the set's hash order.
         """
+        eset = frozenset(edges)
         # Sorting by the plain string keeps the order and skips the
         # Python-level comparison that VertexId's __eq__ brings with it,
         # which is most of the cost of sorting many vertices.
         verts = sorted(lab, key=str.__str__)
         preds: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
         succs: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
-        for src, dst in pairs:
+        for src, dst in (edges if len(edges) == len(eset) else eset):
             preds[dst].append(src)
             succs[src].append(dst)
         for lst in preds.values():
@@ -158,25 +160,18 @@ class RawGraph:
         object.__setattr__(self, "labelling", MappingProxyType(lab))
         object.__setattr__(self, "edges", eset)
         object.__setattr__(self, "_sorted_vertices", tuple(verts))
-        object.__setattr__(self, "_edge_cache", None)
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_succs", succs)
         object.__setattr__(self, "_peel_cache", None)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def _sorted_edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
-        cached = self._edge_cache
-        if cached is None:
-            # By plain strings, as in _wire: the same order, without a
-            # call to VertexId's __eq__ in every tuple comparison.
-            cached = tuple(sorted(self.edges, key=lambda e: (
-                str.__str__(e[0]), str.__str__(e[1]))))
-            object.__setattr__(self, "_edge_cache", cached)
-        return cached
+        """All edges ascending: the sorted successor lists in vertex order."""
+        succs = self._succs
+        return tuple((v, w) for v in self._sorted_vertices for w in succs[v])
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self.labelling
@@ -190,11 +185,7 @@ class RawGraph:
         return self.labelling == other.labelling and self.edges == other.edges
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((frozenset(self.labelling.items()), self.edges))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((frozenset(self.labelling.items()), self.edges))
 
     def __repr__(self):
         kind = type(self).__name__
@@ -227,13 +218,11 @@ class LogicalGraph(RawGraph):
     __slots__ = ()
 
 
-def _graph(cls: type, lab: dict, edges) -> RawGraph:
+def _graph(cls: type, lab: dict, edges: list) -> RawGraph:
     """Internal constructor for callers that own lab and built the edge
     list from lab's own keys; skips the defensive copy and endpoint checks."""
     g = cls.__new__(cls)
-    eset = frozenset(edges)
-    # A list with no repeated edge can be wired in its own order.
-    g._wire(lab, eset, edges if len(edges) == len(eset) else eset)
+    g._wire(lab, edges)
     return g
 
 
@@ -374,19 +363,17 @@ def validate(g: RawGraph) -> LogicalGraph:
     nested levels depth first, the last clique's level first.
     """
     try:
-        tree = _peel(g)
+        peel_tree(g)
     except NotWellFormed:
         # A cycle also breaks the peel; report it as what it is.
         cycle = _find_cycle(g)
         if cycle is not None:
             raise CyclicEdges(cycle) from None
         raise
-    # Promote by sharing the immutable internals; nothing needs recomputing.
+    # Promote by sharing the immutable internals, the peel tree included.
     promoted = LogicalGraph.__new__(LogicalGraph)
-    for slot in ("labelling", "edges", "_sorted_vertices", "_edge_cache",
-                 "_preds", "_succs", "_hash"):
+    for slot in RawGraph.__slots__:
         object.__setattr__(promoted, slot, getattr(g, slot))
-    object.__setattr__(promoted, "_peel_cache", tree)
     return promoted
 
 
@@ -416,15 +403,15 @@ def _up_closure(g: RawGraph, seeds: Iterable[VertexId]) -> set[VertexId]:
     return closure
 
 
-def _restrict(g: RawGraph, closure: set[VertexId], cls: type) -> RawGraph:
-    # Closure is up-closed, so collecting each member's in-edges is exactly
-    # the induced edge set.  Members in vertex order hand _wire one run to
-    # sort and an edge list in vertex order.
+def _restrict(g: RawGraph, members: set[VertexId], cls: type) -> RawGraph:
+    # Each member's in-edges from members are the induced edges (all of
+    # them when members is up-closed).  Members in vertex order hand _wire
+    # one run to sort and an edge list in vertex order.
     lab = g.labelling
     preds = g._preds
-    order = sorted(closure, key=str.__str__)
+    order = sorted(members, key=str.__str__)
     return _graph(cls, {v: lab[v] for v in order},
-                  [(w, v) for v in order for w in preds[v]])
+                  [(w, v) for v in order for w in preds[v] if w in members])
 
 
 def assumption_graph(g: RawGraph, v: VertexId) -> RawGraph:
@@ -446,14 +433,15 @@ def full_assumption_graph(g: RawGraph, v: VertexId) -> RawGraph:
 
 
 def induced_subgraph(g: RawGraph, w: Iterable[VertexId]) -> RawGraph:
-    """The vertices of w plus the edges of g between them; result is raw."""
-    keep = set(w)
-    for v in keep:
+    """The vertices of w plus the edges of g between them; result is raw.
+
+    Raises UnknownVertex for the first vertex of w, in w's order, not in g.
+    """
+    w = list(w)
+    for v in w:
         if v not in g:
             raise UnknownVertex(v)
-    lab = {v: g.labelling[v] for v in keep}
-    edges = [(p, v) for v in keep for p in g._preds[v] if p in keep]
-    return _graph(RawGraph, lab, edges)
+    return _restrict(g, set(w), RawGraph)
 
 
 class SubgraphRelation(Enum):

@@ -65,7 +65,7 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
     A new u may take only an unused candidate c with key2[c] == key1[u].
     A yielded map is only valid until the generator is resumed.
     """
-    used = set(m.values())
+    used, in_pool = set(m.values()), set(pool)  # pool keeps the order
     preds2, edges2 = g2._preds, g2.edges
     # Candidates by image vertex (None: the pool), then by key: a cell
     # [first, ascending candidates] whose candidates before first are all
@@ -84,7 +84,7 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
     def choices(u, x, new):
         """Make each choice of one step in turn, undoing it when resumed."""
         if not new:
-            if (m[u] in pool) if x is None else ((m[u], m[x]) in edges2):
+            if (m[u] in in_pool) if x is None else ((m[u], m[x]) in edges2):
                 yield
             return
         cell = bucket(None if x is None else m[x], key1[u])

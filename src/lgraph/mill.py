@@ -82,7 +82,8 @@ class NotInFragment(Error):
 
 # One token per match: an atom, a numeral, a connective, a parenthesis, or
 # any other character alone, which is a bad token.
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|-o|[*()]|\S)")
+_ATOM_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"\s*({_ATOM_NAME}|\d+|-o|[*()]|\S)")
 _IS_ATOM = re.compile(r"[A-Za-z]").match
 
 

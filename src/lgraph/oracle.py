@@ -35,9 +35,9 @@ def naive_iso(g1: RawGraph, g2: RawGraph) -> list[VMap]:
         return []
     by_label1: dict[LabelId, list[VertexId]] = defaultdict(list)
     by_label2: dict[LabelId, list[VertexId]] = defaultdict(list)
-    for v in g1._sorted_vertices:
+    for v in g1.vertices():
         by_label1[g1.labelling[v]].append(v)
-    for v in g2._sorted_vertices:
+    for v in g2.vertices():
         by_label2[g2.labelling[v]].append(v)
     if {l: len(vs) for l, vs in by_label1.items()} != \
             {l: len(vs) for l, vs in by_label2.items()}:

@@ -26,7 +26,8 @@ from lgraph import (Action, LabelId, NotASubgraphByName, NotInFragment,
                     mk_graph_iso,
                     naive_iso, normalize, parse, print_formula, rename_graph,
                     rewrite_variants, singleton, subtract, to_formula,
-                    to_graph, to_json, traverse_dfs, validate)
+                    to_graph, to_json, traverse_dfs, validate,
+                    vertex_match_perms)
 from lgraph.core import Error, _up_closure
 from lgraph.mill import Atom, Lolli, Tensor, Unit
 from lgraph.oracle import count_formulas
@@ -574,6 +575,26 @@ def test_linear_scaling_of_alpha_equiv_on_a_curried_star():
     slope = _loglog_slope(sizes, times)
     assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
     print(f"\nacceptance alpha_equiv curried-star scaling: PASS (n={sizes}: "
+          + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
+
+
+def test_vertex_match_perms_with_every_member_mapped():
+    # Each mapped member's image was looked up in the target list, with a
+    # Python-level __eq__ per element, so this was quadratic (1.99 s at
+    # 4,000 members).
+    sizes = [1_000, 2_000, 4_000, 8_000]
+    times = []
+    for n in sizes:
+        verts = [VertexId(f"u{i}") for i in range(n)]
+        g = RawGraph({v: L("a") for v in verts}, [])
+        m = {v: v for v in verts}
+        times.append(_best_of(3, lambda: vertex_match_perms(g, verts, g,
+                                                            verts, m)))
+        assert vertex_match_perms(g, verts, g, verts, m) == [m]
+    assert times[-1] < 0.5, f"vertex_match_perms at 8,000: {times[-1]:.3f}s"
+    slope = _loglog_slope(sizes, times)
+    assert slope < 1.6, f"log-log slope {slope:.2f}"
+    print(f"\nacceptance vertex_match_perms scaling: PASS (n={sizes}: "
           + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
 
 

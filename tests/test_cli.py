@@ -276,6 +276,27 @@ class TestDotAndEnumerate:
                               "--max-connectives", "1", "--max-count", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("atoms", ["1", "p q", "p,2q", "p,q-o", "p,é"])
+    def test_enumerate_rejects_atoms_the_syntax_cannot_read(self, capsys,
+                                                            atoms):
+        # An atom named 1 printed as the unit; "p q" listed a formula that
+        # lg parse rejects.
+        code, out, err = invoke(capsys, "enumerate", "--atoms", atoms,
+                                "--max-connectives", "1", "--classes")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:usage:") and err.count("\n") == 1
+
+    def test_enumerate_rejects_negative_connectives(self, capsys):
+        code, out, err = invoke(capsys, "enumerate", "--atoms", "p",
+                                "--max-connectives", "-3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:usage:") and err.count("\n") == 1
+
+    def test_enumerate_atom_names_round_trip(self, capsys):
+        code, out, _ = invoke(capsys, "enumerate", "--atoms", " p_1 , Q2,r ",
+                              "--max-connectives", "0")
+        assert (code, out) == (0, "1\np_1\nQ2\nr\n")
+
 
 class TestInvocationHygiene:
     def test_unknown_command(self, capsys):

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -68,6 +71,30 @@ class TestRawGraph:
         assert log == raw
         assert hash(raw) == hash(log)
         assert raw != G("a:p b:q")
+
+    def test_unknown_vertex_is_the_first_in_the_callers_order(self):
+        # Both checks walked a set, so the vertex they named changed with
+        # the hash seed of the process.
+        script = (
+            "from lgraph import RawGraph, UnknownVertex, induced_subgraph\n"
+            "from lgraph.core import LabelId, VertexId\n"
+            "a, b, c, d, x, y, z = map(VertexId, 'abcdxyz')\n"
+            "g = RawGraph({a: LabelId('p')})\n"
+            "edges = [(a, b), (c, a), (a, d)]\n"
+            "for build in (lambda: RawGraph(g.labelling, edges),\n"
+            "              lambda: induced_subgraph(g, [x, y, z, a])):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except UnknownVertex as exc:\n"
+            "        print(exc.vertex.name)\n")
+        import lgraph
+        src = os.path.dirname(os.path.dirname(lgraph.__file__))
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=60).stdout
+            assert out.split() == ["b", "x"], f"PYTHONHASHSEED={seed}"
 
     def test_inputs_are_copied(self):
         labelling = {V("a"): L("p")}
