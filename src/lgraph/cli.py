@@ -33,23 +33,27 @@ def _fail(kind: str, message: str) -> int:
     return 2
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; bytes that do not decode are an OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: {exc}") from None
+
+
 def _read_formula_arg(arg: str) -> mill.Formula:
-    if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            arg = fh.read()
-    return mill.parse(arg)
+    return mill.parse(_read_text(arg[1:]) if arg.startswith("@") else arg)
 
 
 def _read_graph_file(path: str) -> core.RawGraph:
-    with open(path, encoding="utf-8") as fh:
-        return core.from_json(fh.read())
+    return core.from_json(_read_text(path))
 
 
 def _read_operand(arg: str) -> core.RawGraph:
     """A formula (inline) or, after @, a file holding a graph or a formula."""
     if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(arg[1:])
         if text.lstrip().startswith("{"):
             return core.from_json(text)
         return mill.to_graph(mill.parse(text))
@@ -151,15 +155,15 @@ def _cmd_equiv(args) -> int:
 def _cmd_iso(args) -> int:
     g1 = _read_graph_file(args.first)
     g2 = _read_graph_file(args.second)
-    if args.count:
-        maps = iso.alpha_equiv_all(g1, g2)
-        print(len(maps))
-        return 0 if maps else 1
-    if args.all:
-        maps = iso.alpha_equiv_all(g1, g2)
-        for m in maps:
-            print(_format_map(m))
-        return 0 if maps else 1
+    if args.count or args.all:  # streamed: no list of every map
+        count = 0
+        for m in iso._isomorphisms(g1, g2):
+            count += 1
+            if args.all:
+                print(_format_map(m))
+        if args.count:
+            print(count)
+        return 0 if count else 1
     m = iso.alpha_equiv(g1, g2)
     if m is None:
         return 1

@@ -4,11 +4,12 @@ Two graphs are vertex alpha-equivalent when some bijection of their vertex
 names preserves labels and edges in both directions.  All four entry points
 run one search.  A plan walks the first graph backward with ``traverse_dfs``,
 each vertex once, and lists one step per start vertex and per edge into a
-visited vertex; it does not depend on the choices made.  The search is an
-iterative depth-first backtracking over the steps that grows one map in
-place, undoes it on the way back, and yields maps lazily, in lexicographic
-order of the choices, each taken in ascending vertex order.  A map is always
-injective and label-preserving.
+visited vertex; it does not depend on the choices made.  The search is one
+loop over the steps, a basic backtrack (Knuth, TAOCP 7.2.2, Algorithm B)
+that keeps a little state per depth instead of a generator per step.  It
+grows one map in place, undoes it on the way back, and yields maps lazily,
+in lexicographic order of the choices, each taken in ascending vertex
+order.  A map is always injective and label-preserving.
 
 Each candidate pool is split into buckets by a key, kept in ascending order
 and skipping a prefix of used vertices, so a fan-in of k costs O(k).  The
@@ -22,7 +23,7 @@ differ are rejected before any search.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import CyclicEdges, RawGraph, UnknownVertex, VertexId, _find_cycle
 from .traversal import _CONTINUE, _SKIP, Action, traverse_dfs
@@ -63,60 +64,82 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
     """Every extension of m along steps, depth-first, with m grown in place.
 
     A new u may take only an unused candidate c with key2[c] == key1[u].
+    One loop moves depth d up on a choice and down when d has no choice
+    left.  Depth d keeps three entries: cells[d], the bucket cell it chose
+    from (None for a check step, which passes at most once); firsts[d], the
+    cell's first when d was entered; and nexts[d], where d's next choice
+    starts.  The last depth yields each of its choices without moving up.
     A yielded map is only valid until the generator is resumed.
     """
     used, in_pool = set(m.values()), set(pool)  # pool keeps the order
     preds2, edges2 = g2._preds, g2.edges
     # Candidates by image vertex (None: the pool), then by key: a cell
     # [first, ascending candidates] whose candidates before first are all
-    # used.  A choice moves first past the used prefix and puts it back when
-    # undone, so a fan-in of k same-key premises costs O(k), not O(k^2).
+    # used.  A depth's first choice moves first past the used prefix and
+    # undoing it puts first back, so a fan-in of k same-key premises costs
+    # O(k), not O(k^2).
     buckets: dict[VertexId | None, dict] = {}
-
-    def bucket(w, key):
-        by_key = buckets.get(w)
-        if by_key is None:
-            by_key = buckets[w] = {}
-            for c in (pool if w is None else preds2[w]):
-                by_key.setdefault(key2[c], [0, []])[1].append(c)
-        return by_key.get(key)
-
-    def choices(u, x, new):
-        """Make each choice of one step in turn, undoing it when resumed."""
-        if not new:
-            if (m[u] in in_pool) if x is None else ((m[u], m[x]) in edges2):
-                yield
-            return
-        cell = bucket(None if x is None else m[x], key1[u])
-        if cell is None:
-            return
-        first, candidates = cell
-        advance = True  # until a choice is undone, candidates[:i] are used
-        for i in range(first, len(candidates)):
-            c = candidates[i]
-            if c in used:
+    n = len(steps)
+    last = n - 1
+    cells: list[list | None] = [None] * n
+    firsts, nexts = [0] * n, [0] * n
+    # up: enter depth d; else depth d has no choice left, so undo the
+    # choice of depth d - 1 and take its next one.
+    d, up = 0, True
+    while True:
+        if up:
+            if d == n:
+                yield m
+                up = False
                 continue
-            m[u] = c
-            used.add(c)
-            if advance:
-                cell[0] = i + 1
-            yield
-            cell[0] = first
-            advance = False
-            del m[u]
-            used.discard(c)
-
-    if not steps:
-        yield m
-        return
-    stack = [choices(*steps[0])]
-    while stack:
-        if next(stack[-1], True):  # True: the deepest step has no choice left
-            stack.pop()
-        elif len(stack) == len(steps):
-            yield m
+            u, x, new = steps[d]
+            if not new:
+                if (m[u] in in_pool) if x is None else ((m[u], m[x]) in edges2):
+                    d += 1
+                else:
+                    up = False
+                continue
+            w = None if x is None else m[x]
+            by_key = buckets.get(w)
+            if by_key is None:
+                by_key = buckets[w] = {}
+                for c in (pool if w is None else preds2[w]):
+                    by_key.setdefault(key2[c], [0, []])[1].append(c)
+            cell = cells[d] = by_key.get(key1[u])
+            if cell is None:
+                up = False
+                continue
+            i = firsts[d] = cell[0]
         else:
-            stack.append(choices(*steps[len(stack)]))
+            d -= 1
+            if d < 0:
+                return
+            cell = cells[d]
+            if cell is None:
+                continue
+            u = steps[d][0]
+            used.discard(m.pop(u))
+            cell[0] = firsts[d]
+            i = nexts[d]
+        candidates = cell[1]
+        for i in range(i, len(candidates)):
+            c = candidates[i]
+            if c not in used:
+                if d != last:
+                    break
+                m[u] = c  # the last depth yields each choice in place
+                yield m
+        else:
+            m.pop(u, None)  # mapped only by the last depth's final choice
+            up = False
+            continue
+        m[u] = c
+        used.add(c)
+        if up:  # d's first choice: candidates[first:i] are used
+            cell[0] = i + 1
+        nexts[d] = i + 1
+        d += 1
+        up = True
 
 
 def vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
@@ -172,29 +195,29 @@ def _colours(g: RawGraph, table: dict) -> tuple[dict[VertexId, int],
     return colours, minimals
 
 
-def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterator[VMap]:
+def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterable[VMap]:
+    """The isomorphisms, each map valid until the search is resumed."""
     if len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
-        return
+        return ()
     # Plain-string order: the same verdict, no Python-level comparisons.
     if (sorted(g1.labelling.values(), key=str.__str__)
             != sorted(g2.labelling.values(), key=str.__str__)):
-        return
+        return ()
     table: dict = {}
     colours1, minimals1 = _colours(g1, table)
     colours2, minimals2 = _colours(g2, table)
     if len(minimals1) != len(minimals2):
-        return
+        return ()
     cycle = _find_cycle(g1)
     if cycle is not None:
         raise CyclicEdges(cycle)
     if sorted(colours1.values()) != sorted(colours2.values()):
-        return
+        return ()
     # The plan steps every vertex and every edge of the acyclic g1, so a
     # full extension is injective, keeps colours and sends each edge to an
     # edge; with |V| and |E| equal on both sides it is an isomorphism.
     steps = _plan(g1, minimals1, set())
-    for m in _extensions(g2, steps, {}, colours1, colours2, minimals2):
-        yield dict(m)
+    return _extensions(g2, steps, {}, colours1, colours2, minimals2)
 
 
 def alpha_equiv(g1: RawGraph, g2: RawGraph) -> VMap | None:
@@ -208,7 +231,8 @@ def alpha_equiv(g1: RawGraph, g2: RawGraph) -> VMap | None:
     one of its own colour, and stops at the first complete map, which is an
     isomorphism.
     """
-    return next(_isomorphisms(g1, g2), None)
+    # An abandoned search leaves its map as it was yielded: no copy needed.
+    return next(iter(_isomorphisms(g1, g2)), None)
 
 
 def alpha_equiv_all(g1: RawGraph, g2: RawGraph) -> list[VMap]:
@@ -217,4 +241,4 @@ def alpha_equiv_all(g1: RawGraph, g2: RawGraph) -> list[VMap]:
     The search of alpha_equiv run to the end, so the first map is the one
     alpha_equiv returns.
     """
-    return list(_isomorphisms(g1, g2))
+    return list(map(dict, _isomorphisms(g1, g2)))

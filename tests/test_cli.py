@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -185,6 +186,21 @@ class TestEquivAndIso:
         code, out, _ = invoke(capsys, "iso", a, b, "--count")
         assert (code, out) == (1, "0\n")
 
+    def test_iso_count_streams_the_maps(self, capsys, tmp_path):
+        # 8! maps: kept in a list they would take about 15 MB.
+        leaves = [f"l{i}" for i in range(8)]
+        star = G(" ".join(f"{v}:p" for v in leaves) + " z:q",
+                 " ".join(f"{v}>z" for v in leaves))
+        a = write_graph(tmp_path, "star.graph", star)
+        tracemalloc.start()
+        try:
+            code, out, _ = invoke(capsys, "iso", a, a, "--count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "40320\n")
+        assert peak < 2_000_000
+
     def test_iso_on_a_cycle_is_an_error(self, capsys, tmp_path):
         c = write_graph(tmp_path, "c.json", G("u:p w:p z:q", "u>w w>u w>z"))
         code, out, err = invoke(capsys, "iso", c, c)
@@ -204,6 +220,18 @@ class TestLastResort:
         assert (code, out) == (2, "")
         assert err == "error:internal: RecursionError: " \
                       "maximum recursion depth exceeded\n"
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("argv", [("parse", "@{}"), ("equiv", "@{}", "p"),
+                                      ("check", "{}")])
+    def test_is_one_io_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "f"
+        path.write_bytes(b"\xff\xfe p")
+        code, out, err = invoke(capsys, *(a.format(path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error:io: {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
 
 
 class TestCombineCommands:

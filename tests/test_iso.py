@@ -331,6 +331,20 @@ def _star(leaves, same_label):
     return RawGraph(labelling, [(t, VertexId("z")) for t in tips])
 
 
+def test_star_maps_come_in_permutation_order():
+    # Hundreds of complete backtracks through one bucket of same-label
+    # candidates, against an order that owes nothing to the search.
+    star, z = _star(6, same_label=True), VertexId("z")
+    tips = [v for v in star.vertices() if v != z]  # ascending
+    assert alpha_equiv_all(star, star) == [
+        {z: z, **dict(zip(tips, images))}
+        for images in itertools.permutations(tips)]
+    rest = [t for t in tips if t != tips[3]]
+    assert mk_graph_iso(star, z, star, z, {tips[0]: tips[3]}) == [
+        {z: z, tips[0]: tips[3], **dict(zip(tips[1:], images))}
+        for images in itertools.permutations(rest)]
+
+
 def _layered(levels):
     """((a0 * b0) -o (a1 * b1)) -o ...: each pair implies the next pair, so
     the number of paths doubles with each level."""
