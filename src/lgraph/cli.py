@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 
 from . import algebra, core, iso, mill, oracle
 from .core import CyclicEdges, NotASubgraphByName, NotWellFormed, UnknownVertex
@@ -89,6 +90,9 @@ def _format_map(m: iso.VMap) -> str:
     return " ".join(f"{v.name}->{w.name}" for v, w in pairs)
 
 
+# Built once per process: building costs more than most commands take, and
+# parse_args leaves the parser as it was.
+@cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="lg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,9 +220,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         return _fail("usage", str(exc))
 

@@ -315,18 +315,20 @@ def _peel(g: RawGraph) -> PeelTree:
     stack: list[tuple[VSet | list[VertexId], PeelTree]] = [(top, root)]
     while stack:
         concl, node = stack.pop()
-        if len(concl) == 1:
-            # One clique: peeling it first leaves the same check.
-            key = tuple(preds[concl[0]])
-            peeled.add(concl[0])
+        # One clique: peeling it first leaves the same check.  A run of
+        # them, as in a chain, stays here: a pushed one would be popped next.
+        while len(concl) == 1:
+            c = concl[0]
+            key = preds[c]
+            peeled.add(c)
             for w in key:
                 for t in succs[w]:
                     if t not in peeled:
                         raise _overreach(w, t, concl)
             child = []
-            node.append((tuple(concl), child))
-            if key:
-                stack.append((key, child))
+            node.append(((c,), child))
+            concl, node = key, child
+        if not concl:
             continue
         groups: dict[VSet, list[VertexId]] = {}
         for c in concl:  # ascending, so each clique collects ascending
@@ -559,12 +561,11 @@ def rename_graph(g: RawGraph, mapping: Mapping[VertexId, VertexId]) -> RawGraph:
 
 def to_json(g: RawGraph) -> str:
     """Canonical file form: sorted vertex keys, lexicographically sorted edges."""
-    name = str.__str__  # the plain name, without the property call
-    obj = {
-        "vertices": {name(v): name(l) for v, l in g.labelling.items()},
-        "edges": [[name(s), name(d)] for s, d in g._sorted_edges],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    # Written in that order: vertices and successor lists are kept sorted.
+    lab, succs, verts = g.labelling, g._succs, g._sorted_vertices
+    return json.dumps({"edges": [(s, d) for s in verts for d in succs[s]],
+                       "vertices": {v: lab[v] for v in verts}},
+                      separators=(",", ":"), ensure_ascii=False)
 
 
 def _file_edges(edges: list, named: dict[str, VertexId]
@@ -590,7 +591,7 @@ def from_json(text: str) -> RawGraph:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise Error(f"invalid graph file: {exc}") from None
     if not isinstance(obj, dict):
         raise Error("invalid graph file: top level must be an object")
@@ -602,6 +603,14 @@ def from_json(text: str) -> RawGraph:
     if not isinstance(vertices, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in vertices.items()):
         raise Error("invalid graph file: \"vertices\" must map names to labels")
+    # Unless text holds a \u escape or non-ASCII, every name is ASCII.
+    if not isinstance(text, str) or "\\u" in text or not text.isascii():
+        for name in (*vertices, *vertices.values()):
+            try:
+                name.encode()
+            except UnicodeEncodeError:  # a lone surrogate, from a \u escape
+                raise Error(f"invalid graph file: name {name!r} cannot be "
+                            "encoded as UTF-8") from None
     vertex, label = VertexId._interned.get, LabelId._interned.get
     try:
         lab = {vertex(k) or VertexId(k): label(v) or LabelId(v)

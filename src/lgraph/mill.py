@@ -46,13 +46,29 @@ class Atom:
         return f"Atom({self.label.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
+def _filled_through_slots(cls: type) -> type:
+    """Give a frozen two-field class an ``__init__`` that fills its slots
+    through their descriptors, which is cheaper than the dataclass's two
+    ``object.__setattr__`` calls; assignment still raises."""
+    set_left, set_right = cls.left.__set__, cls.right.__set__
+
+    def __init__(self, left: Formula, right: Formula):
+        set_left(self, left)
+        set_right(self, right)
+
+    cls.__init__ = __init__
+    return cls
+
+
+@_filled_through_slots
+@dataclass(frozen=True, slots=True, init=False)
 class Tensor:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
+@_filled_through_slots
+@dataclass(frozen=True, slots=True, init=False)
 class Lolli:
     left: "Formula"
     right: "Formula"
@@ -220,12 +236,6 @@ def _small_string_order(m: int) -> tuple[int, ...]:
     return tuple(sorted(range(m), key=str))
 
 
-def _in_string_order(items: list[int]) -> list[int]:
-    """items[i] reordered as the names v{i} sort; the same up to v9."""
-    m = len(items)
-    return items if m <= 10 else [items[i] for i in _string_order(m)]
-
-
 # VertexId(f"v{i}") for every i used so far.  VertexId interns its names
 # for the life of the process anyway; this only saves the lookups.
 _NAMES: list[VertexId] = []
@@ -249,57 +259,85 @@ def to_graph(f: Formula) -> RawGraph:
     h's v_i, i < m, to v_{M+r}, where r is the rank of "v{i}" among
     "v0".."v{m-1}" in string order (so v10 ranks before v2).
 
-    One post-order pass over an explicit stack computes that naming
-    directly.  Each subresult is its slot list (slot i holds the vertex
-    named v_i) and its conclusion list; a merge reuses the larger slot list
-    and moves only min(a, b) entries, and edges are recorded once between
-    vertex numbers.  The graph is built once, at the end.
+    Two passes compute that naming directly: a right-first pre-order of
+    the compound subformulas, then a fold over it backwards, children
+    first, which reads atom and unit operands in place.  Each subresult is
+    its slot list (slot i holds the vertex named v_i) and its conclusion
+    list; a merge reuses the larger slot list and moves only min(a, b)
+    entries, and edges are recorded once between vertex numbers.  The
+    graph is built once, at the end.
     """
-    if type(f) is Unit:
+    kind = type(f)
+    if kind is Unit:
         return algebra.empty()
-    if type(f) is Atom:
+    if kind is Atom:
         return algebra.singleton(f.label)
+    if kind is not Tensor and kind is not Lolli:
+        raise TypeError(f"not a formula: {f!r}")
+    nodes: list = []
+    todo: list = [f]
+    while todo:
+        x = todo.pop()
+        nodes.append(x)
+        left, right = x.left, x.right
+        kind = type(left)
+        if kind is Tensor or kind is Lolli:
+            todo.append(left)
+        elif kind is not Atom and kind is not Unit:
+            raise TypeError(f"not a formula: {left!r}")
+        kind = type(right)  # taken first
+        if kind is Tensor or kind is Lolli:
+            todo.append(right)
+        elif kind is not Atom and kind is not Unit:
+            raise TypeError(f"not a formula: {right!r}")
     labels: list[LabelId] = []
     edges: list[tuple[int, int]] = []
     has_lolli = False
     results: list[tuple[list[int], list[int]]] = []
-    todo: list = [f]
-    while todo:
-        x = todo.pop()
-        kind = type(x)
+    for x in reversed(nodes):
+        right = x.right
+        kind = type(right)
         if kind is Atom:
             v = len(labels)
-            labels.append(x.label)
-            results.append(([v], [v]))
+            labels.append(right.label)
+            k_slots, k_ends = [v], [v]
         elif kind is Unit:
-            results.append(([], []))
-        elif kind is Tensor or kind is Lolli:
-            todo += (kind, x.right, x.left)
-        elif x is Tensor or x is Lolli:
-            k_slots, k_ends = results.pop()
-            h_slots, h_ends = results.pop()
-            a, b = len(h_slots), len(k_slots)
-            if a <= b:
-                slots = k_slots
-                slots.extend(_in_string_order(h_slots))
-            else:
-                slots = h_slots
-                low = slots[:b]
-                slots[:b] = k_slots
-                slots.extend(_in_string_order(low))
-            if x is Lolli:
-                has_lolli = True
-                edges.extend(product(h_ends, k_ends))
-                ends = k_ends if k_ends else h_ends
-            elif len(h_ends) < len(k_ends):
-                ends = k_ends
-                ends.extend(h_ends)
-            else:
-                ends = h_ends
-                ends.extend(k_ends)
-            results.append((slots, ends))
+            k_slots, k_ends = [], []
         else:
-            raise TypeError(f"not a formula: {x!r}")
+            k_slots, k_ends = results.pop()
+        left = x.left
+        kind = type(left)
+        if kind is Atom:
+            v = len(labels)
+            labels.append(left.label)
+            h_slots, h_ends = [v], [v]
+        elif kind is Unit:
+            h_slots, h_ends = [], []
+        else:
+            h_slots, h_ends = results.pop()
+        a, b = len(h_slots), len(k_slots)
+        # Up to v9, string order is numeric order.
+        if a <= b:
+            slots = k_slots
+            slots.extend(h_slots if a <= 10 else
+                         [h_slots[i] for i in _string_order(a)])
+        else:
+            slots = h_slots
+            low = slots[:b]
+            slots[:b] = k_slots
+            slots.extend(low if b <= 10 else
+                         [low[i] for i in _string_order(b)])
+        if type(x) is Lolli:
+            has_lolli = True
+            edges.extend(product(h_ends, k_ends))
+            ends = k_ends if k_ends else h_ends
+        elif len(h_ends) < len(k_ends):
+            ends = k_ends
+            ends.extend(h_ends)
+        else:
+            ends = h_ends
+            ends.extend(k_ends)
+        results.append((slots, ends))
     (slots, _), = results
     names = _vertex_names(len(slots))
     name_of: list = [None] * len(slots)

@@ -22,12 +22,18 @@ reader and peel, kept as they were: the reader checks and resolves one edge
 at a time and builds through ``RawGraph(...)``, and the peel groups by
 frozensets, so its ``NotWellFormed`` witness depends on hash order.  Their
 graphs, trees, errors and messages on accepted inputs are the ones the
-package's fast paths must reproduce exactly.
+package's fast paths must reproduce exactly.  ``ref_to_json`` and
+``ref_stack_to_graph`` are the package's earlier file writer, which sorts
+keys in ``json``, and its earlier one-stack translation, which pushes every
+operand with a class marker, kept as they were but for the translation's
+caches, inlined.  The translation runs at any depth in linear time, so it
+is the reference where the fold above is too deep or too slow; the two
+name vertices alike, but only it puts the labelling in name order.
 """
 
 import json
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 from lgraph import algebra
 from lgraph.core import (CyclicEdges, Error, LabelId, LogicalGraph,
@@ -282,6 +288,81 @@ def ref_to_graph(f):
         return algebra.implies(ref_to_graph(f.left),
                                ref_to_graph(f.right)).graph
     raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_stack_to_graph(f):
+    """One post-order pass over an explicit stack, as the package had it."""
+    if type(f) is Unit:
+        return algebra.empty()
+    if type(f) is Atom:
+        return algebra.singleton(f.label)
+
+    def in_string_order(items):
+        m = len(items)
+        return items if m <= 10 else [items[i] for i in
+                                      sorted(range(m), key=str)]
+
+    labels: list[LabelId] = []
+    edges: list[tuple[int, int]] = []
+    has_lolli = False
+    results: list[tuple[list[int], list[int]]] = []
+    todo: list = [f]
+    while todo:
+        x = todo.pop()
+        kind = type(x)
+        if kind is Atom:
+            v = len(labels)
+            labels.append(x.label)
+            results.append(([v], [v]))
+        elif kind is Unit:
+            results.append(([], []))
+        elif kind is Tensor or kind is Lolli:
+            todo += (kind, x.right, x.left)
+        elif x is Tensor or x is Lolli:
+            k_slots, k_ends = results.pop()
+            h_slots, h_ends = results.pop()
+            a, b = len(h_slots), len(k_slots)
+            if a <= b:
+                slots = k_slots
+                slots.extend(in_string_order(h_slots))
+            else:
+                slots = h_slots
+                low = slots[:b]
+                slots[:b] = k_slots
+                slots.extend(in_string_order(low))
+            if x is Lolli:
+                has_lolli = True
+                edges.extend(product(h_ends, k_ends))
+                ends = k_ends if k_ends else h_ends
+            elif len(h_ends) < len(k_ends):
+                ends = k_ends
+                ends.extend(h_ends)
+            else:
+                ends = h_ends
+                ends.extend(k_ends)
+            results.append((slots, ends))
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+    (slots, _), = results
+    names = [VertexId(f"v{i}") for i in range(len(slots))]
+    name_of: list = [None] * len(slots)
+    for i, v in enumerate(slots):
+        name_of[v] = names[i]
+    # In name order, so that sorting the vertices is one linear pass.
+    lab = {names[i]: labels[slots[i]]
+           for i in sorted(range(len(slots)), key=str)}
+    cls = RawGraph if has_lolli else LogicalGraph
+    return cls(lab, [(name_of[s], name_of[d]) for s, d in edges])
+
+
+def ref_to_json(g: RawGraph) -> str:
+    """Canonical file form: sorted vertex keys, lexicographically sorted edges."""
+    name = str.__str__  # the plain name, without the property call
+    obj = {
+        "vertices": {name(v): name(l) for v, l in g.labelling.items()},
+        "edges": [[name(s), name(d)] for s, d in g._sorted_edges],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|(\d+)|(-o)|([*()]))")

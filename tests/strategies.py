@@ -51,3 +51,22 @@ def valid_graphs(draw):
         return validate(g)
     except Error:
         assume(False)
+
+
+# Names with what a JSON writer must escape or may pass through: quotes,
+# backslashes, control characters, non-ASCII text.
+json_names = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f ~é€\u2028😀'), st.characters()),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def named_graphs(draw, max_vertices=6):
+    """Arbitrary labelled digraphs over arbitrary names."""
+    verts = draw(st.lists(json_names.map(VertexId), max_size=max_vertices,
+                          unique=True))
+    labelling = {v: LabelId(draw(json_names)) for v in verts}
+    pairs = [(a, b) for a in verts for b in verts if a is not b]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) \
+        if pairs else []
+    return RawGraph(labelling, edges)

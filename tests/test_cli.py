@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -140,6 +143,30 @@ class TestGraphCommands:
         code, out, err = invoke(capsys, "iso", str(path), str(path))
         assert (code, out) == (2, "")
         assert err == "error:schema: invalid graph file: bad edge ['', 'a']\n"
+
+    def test_nesting_too_deep_to_read_is_a_schema_error(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = invoke(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:schema: invalid graph file: maximum "
+                              "recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("conclusions", "{}"), ("dot", "{}"),
+                                      ("iso", "--all", "{}", "{}"),
+                                      ("to-formula", "{}"), ("check", "{}")])
+    def test_name_that_is_not_text_is_a_schema_error(self, capsys, tmp_path,
+                                                     argv):
+        # A lone surrogate, which no UTF-8 output can carry.
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices":{"a":"p","\\ud800":"p"},"edges":[]}',
+                        encoding="utf-8")
+        code, out, err = invoke(capsys, *(a.format(path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == ("error:schema: invalid graph file: name '\\ud800' "
+                       "cannot be encoded as UTF-8\n")
 
 
 class TestEquivAndIso:
@@ -336,6 +363,21 @@ class TestInvocationHygiene:
         code, _, err = invoke(capsys, "parse", "p", "--wat")
         assert code == 2
         assert err.startswith("error:usage:")
+
+    def test_one_process_answers_as_fresh_ones_do(self, capsys, tmp_path):
+        # The argument parser is built once per process and then reused.
+        path = write_graph(tmp_path, "g.graph", CHAIN)
+        calls = [("parse", "p", "--wat"), ("to-graph", "p * q -o r"),
+                 ("conclusions", path), ("frobnicate",), ("check", path)]
+        import lgraph
+        src = os.path.dirname(os.path.dirname(lgraph.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "lgraph.cli", *argv],
+                                   env=env, capture_output=True, text=True,
+                                   timeout=60)
+            assert invoke(capsys, *argv) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         path = write_graph(tmp_path, "g.graph",

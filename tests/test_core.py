@@ -16,7 +16,7 @@ from lgraph import (CyclicEdges, LabelId, LogicalGraph, NotWellFormed,
                     rename_apart, rename_graph, subgraph_relation, successors,
                     to_json, validate, vset)
 from lgraph.core import Error, _fresh_names, _peel, fresh_name, peel_tree
-from strategies import dag_graphs, raw_graphs, valid_graphs
+from strategies import dag_graphs, named_graphs, raw_graphs, valid_graphs
 from util import G, L, LG, V, names
 
 # The worked two-conclusion example used throughout: (f -o g) and
@@ -577,6 +577,39 @@ class TestGraphFiles:
         text = to_json(g)
         assert _outcome(from_json, text) == _outcome(refimpl.ref_from_json,
                                                      text)
+
+    @given(named_graphs())
+    def test_writes_any_names_as_the_sorting_writer_did(self, g):
+        text = to_json(g)
+        assert text == refimpl.ref_to_json(g)
+        assert from_json(text) == g
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000,
+                                      '{"vertices":' + "[" * 100_000])
+    def test_nesting_too_deep_to_read_is_a_file_error(self, text):
+        with pytest.raises(Error, match="^invalid graph file: maximum "
+                                        "recursion depth exceeded"):
+            from_json(text)
+
+    @pytest.mark.parametrize("vertices", [
+        '{"a": "p", "\\ud800": "q"}', '{"a": "\\udfff"}',
+        '{"a\\ud83d": "p"}', '{"\\ude00\\ud83d": "p"}'])
+    def test_names_that_are_not_text_are_rejected(self, vertices):
+        text = '{"vertices": %s, "edges": []}' % vertices
+        with pytest.raises(Error, match="^invalid graph file: name .* "
+                                        "cannot be encoded as UTF-8$"):
+            from_json(text)
+
+    def test_escaped_and_raw_non_ascii_names_are_read(self):
+        text = ('{"vertices": {"\\ud83d\\ude00": "\\u00e9", "\u20ac": "p"}, '
+                '"edges": [["\u20ac", "\U0001f600"]]}')
+        g = G("\U0001f600:\u00e9 \u20ac:p", "\u20ac>\U0001f600")
+        assert from_json(text) == from_json(text.encode()) == g
+
+    def test_bytes_are_read_as_json_reads_them(self):
+        assert from_json(b'{"vertices": {"a": "p"}}') == G("a:p")
+        with pytest.raises(Error, match="cannot be encoded as UTF-8"):
+            from_json(b'{"vertices": {"\\ud800": "p"}}')
 
     @given(dag_graphs())
     def test_round_trip_any_graph(self, g):

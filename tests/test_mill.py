@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 
@@ -198,6 +201,95 @@ class TestToGraphMatchesTheAlgebraFold:
             to_graph(Tensor(Atom(P), "q"))
         with pytest.raises(TypeError):
             to_graph(Lolli(None, Atom(P)))
+
+
+def _same_graph(got, want):
+    """Equal graphs, built alike: type, labelling order, adjacency order."""
+    assert type(got) is type(want)
+    assert list(got.labelling.items()) == list(want.labelling.items())
+    assert got.edges == want.edges
+    assert list(got._preds.items()) == list(want._preds.items())
+    assert list(got._succs.items()) == list(want._succs.items())
+
+
+def _right_tensor(labels):
+    """l0 * (l1 * (... * ln))"""
+    f = Atom(labels[-1])
+    for label in reversed(labels[:-1]):
+        f = Tensor(Atom(label), f)
+    return f
+
+
+def _mixed_chain(labels, seed):
+    """Each step puts a connective on either side, sometimes over 1."""
+    rng = random.Random(seed)
+    f = Atom(labels[0])
+    for label in labels[1:]:
+        leaf = Unit() if rng.random() < 0.1 else Atom(label)
+        node = Tensor if rng.random() < 0.5 else Lolli
+        f = node(f, leaf) if rng.random() < 0.5 else node(leaf, f)
+    return f
+
+
+class TestToGraphMatchesTheStackTranslation:
+    """to_graph against the package's earlier one-stack translation, which
+    reaches any depth, and to_json against its earlier sorting writer."""
+
+    def test_every_formula_up_to_three_connectives(self):
+        for f in enumerate_formulas([P, Q], 3):
+            got, fold = to_graph(f), refimpl.ref_to_graph(f)
+            _same_graph(got, refimpl.ref_stack_to_graph(f))
+            assert (type(got), got.edges, got._preds, got._succs) == \
+                (type(fold), fold.edges, fold._preds, fold._succs)
+            assert to_json(got) == refimpl.ref_to_json(got)
+
+    @pytest.mark.parametrize("family", [flat_tensor, _right_tensor,
+                                        left_lolli, right_lolli])
+    def test_chains_of_depth_ten_to_the_five(self, family):
+        f = family([L(f"x{i % 1000}") for i in range(100_000)])
+        got = to_graph(f)
+        _same_graph(got, refimpl.ref_stack_to_graph(f))
+        assert to_json(got) == refimpl.ref_to_json(got)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mixed_chain_of_depth_ten_to_the_four(self, seed):
+        f = _mixed_chain([L(f"x{i % 1000}") for i in range(10_000)], seed)
+        _same_graph(to_graph(f), refimpl.ref_stack_to_graph(f))
+
+    def test_non_formula_at_depth_is_a_type_error(self):
+        bad_left, bad_right = None, 3
+        for i in range(10_000):
+            bad_left = Tensor(bad_left, Atom(P))
+            bad_right = Lolli(Atom(P), bad_right)
+        for f in ("p", None, bad_left, bad_right,
+                  Tensor(flat_tensor([P] * 50), Lolli(Atom(Q), bad_left))):
+            with pytest.raises(TypeError, match="not a formula"):
+                to_graph(f)
+
+
+class TestFormulaValues:
+    def test_tensor_and_lolli_stay_frozen_values(self):
+        for kind in (Tensor, Lolli):
+            f = kind(Atom(P), Unit())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                f.left = Atom(Q)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                f.right = Atom(Q)
+            assert (f.left, f.right) == (Atom(P), Unit())
+            assert kind(left=Atom(P), right=Unit()) == f
+            assert dataclasses.replace(f, right=Atom(Q)) == kind(Atom(P),
+                                                                  Atom(Q))
+            assert copy.copy(f) == f and copy.deepcopy(f) == f
+            assert pickle.loads(pickle.dumps(f)) == f
+            assert hash(kind(Atom(P), Unit())) == hash(f)
+            assert repr(f) == f"{kind.__name__}(left=Atom('p'), right=Unit())"
+            match f:
+                case Tensor(left, right) | Lolli(left, right):
+                    assert (left, right) == (Atom(P), Unit())
+                case _:
+                    pytest.fail("no match")
+            with pytest.raises(TypeError):
+                kind(Atom(P))
 
 
 class TestToGraphIsTotal:
