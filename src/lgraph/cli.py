@@ -202,15 +202,22 @@ def _cmd_enumerate(args) -> int:
         for f in formulas:
             print(mill.print_formula(f))
         return 0
-    classes: dict[str, int] = {}
+    # normalize shares one formula per short key: tally by identity, print
+    # each once, and merge by text, since a key evicted from that cache comes
+    # back as a new object.  The tally keeps its forms alive, so ids stay.
+    tally: dict[int, list] = {}  # id -> [normal form, count]
     skipped = 0
     for f in formulas:
         try:
-            key = mill.print_formula(mill.normalize(f))
+            normal = mill.normalize(f)
         except NotInFragment:
             skipped += 1
             continue
-        classes[key] = classes.get(key, 0) + 1
+        tally.setdefault(id(normal), [normal, 0])[1] += 1
+    classes: dict[str, int] = {}
+    for normal, n in tally.values():
+        key = mill.print_formula(normal)
+        classes[key] = classes.get(key, 0) + n
     for key in sorted(classes):
         print(f"{key}\t{classes[key]}")
     if skipped:

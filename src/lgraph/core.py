@@ -140,6 +140,8 @@ class RawGraph:
 
         edges is wired in its own order when it repeats no edge, since on a
         large graph vertex order is much faster than the set's hash order.
+        Small graphs are common, so the fixed cost is kept low: no sorts
+        under two edges, and the slots are set through their descriptors.
         """
         eset = frozenset(edges)
         # Sorting by the plain string keeps the order and skips the
@@ -151,18 +153,20 @@ class RawGraph:
         for src, dst in (edges if len(edges) == len(eset) else eset):
             preds[dst].append(src)
             succs[src].append(dst)
-        for lst in preds.values():
-            if len(lst) > 1:
-                lst.sort(key=str.__str__)
-        for lst in succs.values():
-            if len(lst) > 1:
-                lst.sort(key=str.__str__)
-        object.__setattr__(self, "labelling", MappingProxyType(lab))
-        object.__setattr__(self, "edges", eset)
-        object.__setattr__(self, "_sorted_vertices", tuple(verts))
-        object.__setattr__(self, "_preds", preds)
-        object.__setattr__(self, "_succs", succs)
-        object.__setattr__(self, "_peel_cache", None)
+        if len(eset) > 1:
+            for lst in preds.values():
+                if len(lst) > 1:
+                    lst.sort(key=str.__str__)
+            for lst in succs.values():
+                if len(lst) > 1:
+                    lst.sort(key=str.__str__)
+        set_lab, set_edges, set_verts, set_preds, set_succs, set_peel = _SLOTS
+        set_lab(self, MappingProxyType(lab))
+        set_edges(self, eset)
+        set_verts(self, tuple(verts))
+        set_preds(self, preds)
+        set_succs(self, succs)
+        set_peel(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -204,6 +208,10 @@ class RawGraph:
             return self.labelling[v]
         except KeyError:
             raise UnknownVertex(v) from None
+
+
+# RawGraph's slot setters in ``__slots__`` order; they skip ``__setattr__``.
+_SLOTS = tuple(getattr(RawGraph, slot).__set__ for slot in RawGraph.__slots__)
 
 
 class LogicalGraph(RawGraph):
@@ -600,8 +608,9 @@ def from_json(text: str) -> RawGraph:
         raise Error(f"invalid graph file: unknown keys {sorted(unknown)}")
     vertices = obj.get("vertices", {})
     edges = obj.get("edges", [])
+    # Object keys from json.loads are always strings; the labels may not be.
     if not isinstance(vertices, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in vertices.items()):
+            isinstance(v, str) for v in vertices.values()):
         raise Error("invalid graph file: \"vertices\" must map names to labels")
     # Unless text holds a \u escape or non-ASCII, every name is ASCII.
     if not isinstance(text, str) or "\\u" in text or not text.isascii():

@@ -28,8 +28,8 @@ from itertools import product
 from typing import Sequence, Union
 
 from . import algebra
-from .core import (Error, LabelId, LogicalGraph, RawGraph,
-                   VertexId, VSet, _graph, peel_tree, validate)
+from .core import (Error, LabelId, LogicalGraph, NotWellFormed, RawGraph,
+                   VertexId, VSet, _graph, peel_tree)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,14 +339,17 @@ def to_graph(f: Formula) -> RawGraph:
             ends.extend(k_ends)
         results.append((slots, ends))
     (slots, _), = results
-    names = _vertex_names(len(slots))
-    name_of: list = [None] * len(slots)
-    for i, v in enumerate(slots):
-        name_of[v] = names[i]
+    n = len(slots)
+    names = _vertex_names(n)
     # In name order, so that sorting the vertices is one linear pass.
-    lab = {names[i]: labels[slots[i]] for i in _string_order(len(slots))}
-    cls = RawGraph if has_lolli else LogicalGraph
-    return _graph(cls, lab, [(name_of[s], name_of[d]) for s, d in edges])
+    lab = {names[i]: labels[slots[i]]
+           for i in (range(n) if n <= 10 else _string_order(n))}
+    if edges:  # p -o 1 has none and is still raw
+        name_of: list = [None] * n
+        for i, v in enumerate(slots):
+            name_of[v] = names[i]
+        edges = [(name_of[s], name_of[d]) for s, d in edges]
+    return _graph(RawGraph if has_lolli else LogicalGraph, lab, edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,7 +390,7 @@ def _right_tensor(operands: list[str]) -> str:
 _NO_PARTS = ("1", _ATOM)
 
 
-def _canonicalize(g: LogicalGraph, nodes: list | None = None) -> str:
+def _canonicalize(g: RawGraph, nodes: list | None = None) -> str:
     """Sort g's peel tree canonically and compose the canonical key.
 
     Clique members tensor in ascending label order, implied by their
@@ -465,30 +468,35 @@ def canonical_key(g: LogicalGraph) -> str:
     return _canonicalize(g)
 
 
-def to_formula(g: LogicalGraph) -> Formula:
-    """The canonical formula of a validated graph: its canonical key, parsed.
-
-    Output depends only on the alpha-equivalence class of the graph.  Keys
-    of up to 256 characters are parsed once and the formula shared: formulas
-    are immutable, and ``lg enumerate --classes`` meets most keys often.
-    """
-    key = canonical_key(g)
+def _key_formula(key: str) -> Formula:
+    """A key, parsed: one shared formula per key of up to 256 characters."""
     return _parse_short_key(key) if len(key) <= 256 else parse(key)
 
 
 _parse_short_key = lru_cache(maxsize=256)(parse)
 
 
+def to_formula(g: LogicalGraph) -> Formula:
+    """The canonical formula of a validated graph: its canonical key, parsed.
+
+    Output depends only on the alpha-equivalence class of the graph.  Keys
+    of up to 256 characters are parsed once and the formula shared: formulas
+    are immutable, and ``lg enumerate --classes`` tallies by that object.
+    """
+    return _key_formula(canonical_key(g))
+
+
 def normalize(f: Formula) -> Formula:
     """The canonical representative of f's symmetry class.
 
-    Translates to a graph, validates, and reads the formula back; raises
-    NotInFragment (carrying the offending graph) when the translation is
-    not well-formed.  Idempotent on its domain.
+    ``to_formula(validate(to_graph(f)))`` without the promoted copy.  The
+    translation is acyclic, so the peel's NotWellFormed is the only way
+    validation can fail: it is the cause of NotInFragment, which carries the
+    graph.  Idempotent on its domain; shares results as ``to_formula`` does.
     """
     g = to_graph(f)
     try:
-        valid = validate(g)
-    except Error as exc:
+        key = _canonicalize(g)
+    except NotWellFormed as exc:
         raise NotInFragment(g, exc) from None
-    return to_formula(valid)
+    return _key_formula(key)

@@ -6,7 +6,8 @@ import tracemalloc
 
 import pytest
 
-from lgraph import from_json, to_json
+from lgraph import (LabelId, NotInFragment, enumerate_formulas, from_json,
+                    normalize, print_formula, to_json)
 from lgraph.cli import run
 from util import G
 
@@ -319,6 +320,32 @@ class TestDotAndEnumerate:
         # ten formulas; p*p is its own class, chains p-op collapse together
         assert lines["p * p"] == "1"
         assert sum(int(n) for n in lines.values()) == 10
+
+    @pytest.mark.parametrize("atoms", ["p,q", "p,q,r"])
+    def test_enumerate_class_table_is_the_literal_tally(self, capsys, atoms):
+        # The CLI prints each shared normal form once; here every formula is
+        # printed.  p,q,r has 842 classes, more than the 256 keys whose
+        # parsed formula is shared, so an evicted key comes back as a new
+        # object and its counts must merge with the old one's.
+        code, out, err = invoke(capsys, "enumerate", "--atoms", atoms,
+                                "--max-connectives", "3", "--classes")
+        classes: dict[str, int] = {}
+        forms, skipped = {}, 0  # the objects kept, so that no id is reused
+        for f in enumerate_formulas([LabelId(a) for a in atoms.split(",")], 3):
+            try:
+                normal = normalize(f)
+            except NotInFragment:
+                skipped += 1
+                continue
+            forms[id(normal)] = normal
+            key = print_formula(normal)
+            classes[key] = classes.get(key, 0) + 1
+        assert code == 0
+        assert out == "".join(f"{key}\t{n}\n"
+                              for key, n in sorted(classes.items()))
+        assert err == f"skipped {skipped} formulas outside the fragment\n"
+        if atoms == "p,q,r":
+            assert len(classes) == 842 and len(forms) > len(classes)
 
     def test_enumerate_refuses_oversized(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "--atoms", "p,q,r",

@@ -409,6 +409,36 @@ class TestNormalize:
         assert print_formula(normalize(parse("(p * q) -o 1"))) == "p * q"
         assert print_formula(normalize(parse("p -o (q -o 1)"))) == "p -o q"
 
+    @staticmethod
+    def _matches_the_validated_path(f):
+        """normalize(f) against to_formula(validate(to_graph(f))); returns
+        whether f is in the fragment."""
+        g = to_graph(f)
+        try:
+            want = to_formula(validate(g))
+        except Error as exc:
+            with pytest.raises(NotInFragment) as got:
+                normalize(f)
+            raw = got.value.graph
+            assert type(raw) is type(g) and raw == g
+            assert list(raw.labelling.items()) == list(g.labelling.items())
+            cause = got.value.cause
+            assert (type(cause), str(cause), cause.witness) == \
+                (type(exc), str(exc), exc.witness)
+            return False
+        assert normalize(f) == want
+        return True
+
+    def test_matches_the_validated_path_on_the_enumeration(self):
+        inside = [self._matches_the_validated_path(f)
+                  for f in enumerate_formulas([P, Q], 3)]
+        assert inside.count(False) == 32
+
+    @given(formulas)
+    @settings(max_examples=200)
+    def test_matches_the_validated_path(self, f):
+        self._matches_the_validated_path(f)
+
     @given(formulas)
     @settings(max_examples=120)
     def test_idempotent_on_the_fragment(self, f):
