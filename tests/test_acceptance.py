@@ -557,15 +557,17 @@ def test_linear_scaling_of_alpha_equiv():
           + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
 
 
-def test_linear_scaling_of_alpha_equiv_on_a_curried_star():
+@pytest.mark.parametrize("labels", [7, 1])
+def test_linear_scaling_of_alpha_equiv_on_a_curried_star(labels):
     # a0 -o a1 -o ... -o q is a star: every premise implies q.  Each new
     # premise scanned the premise list of q's image from the start for an
     # unused vertex with its label, so this was quadratic (26.5 s at 32k
-    # atoms).
+    # atoms).  With one label, every premise draws from one cell.
     sizes = [10_000, 31_623, 100_000]
     times = []
     for n in sizes:
-        f = right_lolli([L(f"a{i % 7}") for i in range(n - 1)] + [L("q")])
+        f = right_lolli([L(f"a{i % labels}") for i in range(n - 1)]
+                        + [L("q")])
         g = validate(to_graph(f))
         h = validate(from_json(to_json(g)))
         times.append(_best_of(3, lambda: alpha_equiv(g, h)))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgraph import (LabelId, NotInFragment, enumerate_formulas, from_json,
                     normalize, print_formula, to_json)
@@ -412,3 +416,66 @@ class TestInvocationHygiene:
         first = invoke(capsys, "to-formula", path)
         second = invoke(capsys, "to-formula", path)
         assert first == second
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A directory and the paths the contract test draws operands from: a
+    formula, a graph file, broken files of every kind, and a missing one."""
+    d = tmp_path_factory.mktemp("contract")
+    texts = {
+        "formula.txt": "p * q -o r\n",
+        "graph.json": to_json(CHAIN),
+        "truncated.json": to_json(CHAIN)[:20],
+        "deep.json": "[" * 100_000,
+        "surrogate.json": '{"vertices":{"a":"p","\\ud800":"p"},"edges":[]}',
+        "cyclic.json": to_json(G("u:p w:p z:q", "u>w w>u w>z")),
+        "nwf.json": to_json(N_GRAPH),
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text, encoding="utf-8")
+    (d / "undecodable.json").write_bytes(b"\xff\xfe {}")
+    return d, [str(d / n) for n in [*texts, "undecodable.json", "absent"]]
+
+
+class TestContract:
+    """Whatever the arguments, lg exits 0, 1 or 2, and an exit 2 prints one
+    ``error:<kind>`` line, not an internal error, and nothing on stdout."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_every_command_keeps_the_contract(self, contract_files, data):
+        d, paths = contract_files
+        one = st.sampled_from
+        graph = one(paths).map(lambda p: [p])
+        formula = one(["p * q -o r", "p -o", "(p", "p $",
+                       *("@" + p for p in paths)]).map(lambda f: [f])
+        output = one([[], ["-o", str(d / "out.json")]])
+        args = {
+            "parse": [formula], "normalize": [formula],
+            "to-graph": [formula, output], "to-formula": [graph],
+            "check": [graph], "conclusions": [graph], "dot": [graph],
+            "equiv": [formula, formula],
+            "iso": [graph, graph,
+                    one([[], ["--count"], ["--all"], ["--count", "--all"]])],
+            "add": [graph, graph, output], "implies": [graph, graph, output],
+            "subtract": [graph, graph, output],
+            "enumerate": [one([["--atoms", a] for a in ("p", "p,q", "1", "")]),
+                          one([["--max-connectives", c]
+                               for c in ("-1", "0", "2", "x")]),
+                          one([[], ["--classes"]]),
+                          one([[], ["--max-count", "5"]])],
+        }
+        command = data.draw(one(sorted(args)))
+        argv = [command] + [a for part in args[command]
+                            for a in data.draw(part)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, (argv, lines)
+            assert lines[0].startswith("error:"), (argv, lines)
+            assert not lines[0].startswith("error:internal"), (argv, lines)
+            assert out.getvalue() == "", argv

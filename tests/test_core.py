@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import refimpl
 from lgraph import (CyclicEdges, LabelId, LogicalGraph, NotWellFormed,
@@ -579,10 +579,17 @@ class TestGraphFiles:
                                                      text)
 
     @given(named_graphs())
+    @example(RawGraph({V('"'): L('"'), V('""'): L("\ud800")}))
     def test_writes_any_names_as_the_sorting_writer_did(self, g):
         text = to_json(g)
         assert text == refimpl.ref_to_json(g)
-        assert from_json(text) == g
+        # A name with a lone surrogate is written, but reading refuses it.
+        names = [*g.labelling, *g.labelling.values()]
+        if all(_encodes(n) for n in names):
+            assert from_json(text) == g
+        else:
+            with pytest.raises(Error, match="cannot be encoded as UTF-8"):
+                from_json(text)
 
     @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000,
                                       '{"vertices":' + "[" * 100_000])
@@ -615,6 +622,15 @@ class TestGraphFiles:
     def test_round_trip_any_graph(self, g):
         assert from_json(to_json(g)) == g
         assert g._sorted_edges == tuple(sorted(g.edges))
+
+
+def _encodes(name: str) -> bool:
+    """Whether name is text: no lone surrogate."""
+    try:
+        name.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _outcome(read, text):

@@ -382,6 +382,14 @@ class TestTotality:
         with pytest.raises(CyclicEdges):
             alpha_equiv_all(self.CYCLE, acyclic)
 
+    def test_minimal_counts_reject_before_the_cycle_check(self):
+        # Same vertex, edge and label counts; one minimal vertex against
+        # two, so the answer is no before the cycle of g1 is looked for.
+        cyclic = G("u:p w:p y:p z:q", "u>w w>u w>z y>z")
+        acyclic = G("a:p b:p c:p z:q", "a>b a>z c>b c>z")
+        assert alpha_equiv(cyclic, acyclic) is None
+        assert alpha_equiv_all(cyclic, acyclic) == []
+
     def test_mk_graph_iso_ends_on_a_cycle(self):
         maps = mk_graph_iso(self.CYCLE, V("z"), self.CYCLE, V("z"))
         assert maps == [{V("z"): V("z"), V("w"): V("w"), V("u"): V("u")}]
