@@ -2,25 +2,25 @@
 
 Two graphs are vertex alpha-equivalent when some bijection of their vertex
 names preserves labels and edges in both directions.  All four entry points
-run one search.  A plan walks the first graph backward, depth-first with its
-own stack, each vertex once, and lists one step per start vertex and per
-edge into a visited vertex; it does not depend on the choices made.  The
-search is one loop over the steps, a basic backtrack (Knuth, TAOCP 7.2.2,
-Algorithm B) that keeps a little state per depth instead of a generator per
-step.  It grows one map in place, undoes it on the way back, and yields maps
-lazily, in lexicographic order of the choices, each taken in ascending
-vertex order.  A map is always injective and label-preserving.
+run one search.  A plan walks the first graph backward with ``traverse_dfs``,
+each vertex once, and lists one step per start vertex and per edge into a
+visited vertex; it does not depend on the choices made.  The search is one
+loop over the steps, a basic backtrack (Knuth, TAOCP 7.2.2, Algorithm B)
+that keeps a little state per depth instead of a generator per step.  It
+grows one map in place, undoes it on the way back, and yields maps lazily,
+in lexicographic order of the choices, each taken in ascending vertex
+order.  A map is always injective and label-preserving.
 
 A step whose image vertex has one predecessor is forced: it takes that
-predecessor or fails.  Other candidate pools are split into buckets by a
-key; a bucket cell holds, in descending order, the candidates none of its
-own depths holds, and a choice pops from near its end, so a fan-in of k
-costs O(k).  The key is the label in ``mk_graph_iso`` and
-``vertex_match_perms``, which list embeddings.  ``alpha_equiv`` and
-``alpha_equiv_all`` key by colour, the vertex's (label, in-degree,
-out-degree): an isomorphism keeps colours, so this prunes only branches that
-hold none, and every map it completes is an isomorphism, with no check after
-the fact.  Graphs whose colour counts differ are rejected before any search.
+predecessor or fails, with no bucket.  Every other candidate pool is split
+into buckets by a key, kept in ascending order and skipping a prefix of
+used vertices, so a fan-in of k costs O(k).  The key is the label in
+``mk_graph_iso`` and ``vertex_match_perms``, which list embeddings.
+``alpha_equiv`` and ``alpha_equiv_all`` key by colour, the vertex's (label,
+in-degree, out-degree): an isomorphism keeps colours, so this prunes only
+branches that hold none, and every map it completes is an isomorphism, with
+no check after the fact.  Graphs whose colour counts differ are rejected
+before any search.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import CyclicEdges, RawGraph, UnknownVertex, VertexId, _find_cycle
+from .traversal import _CONTINUE, _SKIP, Action, traverse_dfs
 
 # A candidate isomorphism: an injective, label-preserving vertex map.
 VMap = dict[VertexId, VertexId]
@@ -39,27 +40,24 @@ Step = tuple[VertexId, VertexId | None, bool]
 
 
 def _plan(g1: RawGraph, starts, mapped: set[VertexId]) -> list[Step]:
-    """The steps that map the backward closures of starts, each vertex once:
-    a depth-first walk with a stack of iterators, siblings ascending."""
-    preds = g1._preds
+    """The steps that map the backward closures of starts, each vertex once."""
     steps: list[Step] = []
     visited: set[VertexId] = set()
+
+    def visit(x: VertexId, _) -> tuple[Action, None]:
+        if x in visited:
+            return _SKIP, None
+        visited.add(x)
+        for p in g1._preds[x]:
+            steps.append((p, x, p not in mapped))
+            mapped.add(p)
+        return _CONTINUE, None
+
     for v in starts:
         if v not in mapped:
             steps.append((v, None, True))
             mapped.add(v)
-        stack = [iter((v,))]
-        while stack:
-            for x in stack[-1]:
-                if x not in visited:
-                    visited.add(x)
-                    for p in preds[x]:
-                        steps.append((p, x, p not in mapped))
-                        mapped.add(p)
-                    stack.append(iter(preds[x]))
-                    break
-            else:
-                stack.pop()
+        traverse_dfs(visit, g1, v, None)
     return steps
 
 
@@ -69,24 +67,26 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
 
     A new u may take only an unused candidate c with key2[c] == key1[u].
     One loop moves depth d up on a choice and down when d has no choice
-    left.  Depth d keeps cells[d], the bucket cell it chose from (None for
-    a check step, which passes at most once; forced for a step whose image
-    has one predecessor), and nexts[d], its choice's index in the cell.
-    The last depth yields each of its choices without moving up.  A
-    yielded map is only valid until the generator is resumed.
+    left.  Depth d keeps three entries: cells[d], the bucket cell it chose
+    from (None for a check step, which passes at most once, and forced for
+    a forced step); firsts[d], the cell's first when d was entered; and
+    nexts[d], where d's next choice starts.  The last depth yields each of
+    its choices without moving up.  A yielded map is only valid until the
+    generator is resumed.
     """
     used, in_pool = set(m.values()), set(pool)  # pool keeps the order
     preds2, edges2 = g2._preds, g2.edges
-    # Candidates by image vertex (None: the pool), then by key: a cell holds
-    # the ones none of its own depths holds, descending.  A choice pops from
-    # near the end and its undo puts it back, so choices come ascending and
-    # a fan-in of k same-key premises costs O(k), not O(k^2).
+    # Candidates by image vertex (None: the pool), then by key: a cell
+    # [first, ascending candidates] whose candidates before first are all
+    # used.  A depth's first choice moves first past the used prefix and
+    # undoing it puts first back, so a fan-in of k same-key premises costs
+    # O(k), not O(k^2).
     buckets: dict[VertexId | None, dict] = {}
     forced: list = []  # the cell of every forced step
     n = len(steps)
     last = n - 1
     cells: list[list | None] = [None] * n
-    nexts = [0] * n
+    firsts, nexts = [0] * n, [0] * n
     # up: enter depth d; else depth d has no choice left, so undo the
     # choice of depth d - 1 and take its next one.
     d, up = 0, True
@@ -122,13 +122,13 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
             by_key = buckets.get(w)
             if by_key is None:
                 by_key = buckets[w] = {}
-                for c in reversed(cands):
-                    by_key.setdefault(key2[c], []).append(c)
+                for c in cands:
+                    by_key.setdefault(key2[c], [0, []])[1].append(c)
             cell = cells[d] = by_key.get(key1[u])
             if cell is None:
                 up = False
                 continue
-            i = len(cell)
+            i = firsts[d] = cell[0]
         else:
             d -= 1
             if d < 0:
@@ -137,14 +137,14 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
             if cell is None:
                 continue
             u = steps[d][0]
-            c = m.pop(u)
-            used.discard(c)
+            used.discard(m.pop(u))
             if cell is forced:
                 continue
+            cell[0] = firsts[d]
             i = nexts[d]
-            cell.insert(i, c)
-        for i in range(i - 1, -1, -1):
-            c = cell[i]
+        candidates = cell[1]
+        for i in range(i, len(candidates)):
+            c = candidates[i]
             if c not in used:
                 if d != last:
                     break
@@ -154,10 +154,11 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
             m.pop(u, None)  # mapped only by the last depth's final choice
             up = False
             continue
-        del cell[i]
         m[u] = c
         used.add(c)
-        nexts[d] = i
+        if up:  # d's first choice: candidates[first:i] are used
+            cell[0] = i + 1
+        nexts[d] = i + 1
         d += 1
         up = True
 
@@ -219,21 +220,19 @@ def _isomorphisms(g1: RawGraph, g2: RawGraph) -> Iterable[VMap]:
     """The isomorphisms, each map valid until the search is resumed."""
     if len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
         return ()
+    # Plain-string order: the same verdict, no Python-level comparisons.
+    if (sorted(g1.labelling.values(), key=str.__str__)
+            != sorted(g2.labelling.values(), key=str.__str__)):
+        return ()
     table: dict = {}
     colours1, minimals1 = _colours(g1, table)
     colours2, minimals2 = _colours(g2, table)
-    # Equal colour counts imply equal label counts and minimal counts, the
-    # rejects that come before the cycle check; otherwise they decide.
-    same = sorted(colours1.values()) == sorted(colours2.values())
-    # Plain-string order: the same verdict, no Python-level comparisons.
-    if not same and (sorted(g1.labelling.values(), key=str.__str__)
-                     != sorted(g2.labelling.values(), key=str.__str__)
-                     or len(minimals1) != len(minimals2)):
+    if len(minimals1) != len(minimals2):
         return ()
     cycle = _find_cycle(g1)
     if cycle is not None:
         raise CyclicEdges(cycle)
-    if not same:
+    if sorted(colours1.values()) != sorted(colours2.values()):
         return ()
     # The plan steps every vertex and every edge of the acyclic g1, so a
     # full extension is injective, keeps colours and sends each edge to an

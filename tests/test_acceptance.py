@@ -580,6 +580,31 @@ def test_linear_scaling_of_alpha_equiv_on_a_curried_star(labels):
           + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
 
 
+def test_linear_scaling_of_alpha_equiv_on_shared_premises():
+    # Premises p_i point to a and b, premises q_i to b and c, all with one
+    # label.  The search maps a, then every p_i, then b, whose candidates
+    # hold the p_i images, used through a.  A search that rescanned them
+    # for every q_i was quadratic (90 s at 32k pairs).
+    sizes = [3_000, 10_000, 30_000]
+    times = []
+    for k in sizes:
+        lab = {V(v): L("x") for v in "abc"}
+        edges = []
+        for i in range(k):
+            p, q = V(f"p{i:06d}"), V(f"q{i:06d}")
+            lab[p] = lab[q] = L("x")
+            edges += [(p, V("a")), (p, V("b")), (q, V("b")), (q, V("c"))]
+        g = RawGraph(lab, edges)
+        times.append(_best_of(3, lambda: alpha_equiv(g, g)))
+        assert alpha_equiv(g, g) == {v: v for v in g.vertices()}
+    assert times[-1] < 2.0, f"alpha_equiv of shared premises at 3e4: " \
+                            f"{times[-1]:.3f}s"
+    slope = _loglog_slope(sizes, times)
+    assert 0.4 < slope < 1.6, f"log-log slope {slope:.2f}"
+    print(f"\nacceptance alpha_equiv shared-premise scaling: PASS (k={sizes}: "
+          + "/".join(f"{t * 1000:.0f}" for t in times) + " ms)")
+
+
 def test_vertex_match_perms_with_every_member_mapped():
     # Each mapped member's image was looked up in the target list, with a
     # Python-level __eq__ per element, so this was quadratic (1.99 s at
