@@ -19,6 +19,7 @@ returns a raw graph and callers needing a LogicalGraph must validate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import (LabelId, LogicalGraph, NotASubgraphByName, RawGraph,
                    VertexId, _graph, _renamed_apart, conclusions)
@@ -37,24 +38,16 @@ class SumResult:
     inj2: dict[VertexId, VertexId]
 
 
-_EMPTY = None
-_SINGLETONS: dict[LabelId, LogicalGraph] = {}
-
-
+@cache
 def empty() -> LogicalGraph:
     """The graph with no vertices; the unit of addition."""
-    global _EMPTY
-    if _EMPTY is None:
-        _EMPTY = LogicalGraph({}, ())
-    return _EMPTY
+    return LogicalGraph({}, ())
 
 
+@cache
 def singleton(label: LabelId) -> LogicalGraph:
     """One vertex (named v0) carrying the label, no edges."""
-    g = _SINGLETONS.get(label)
-    if g is None:
-        g = _SINGLETONS.setdefault(label, LogicalGraph({VertexId("v0"): label}, ()))
-    return g
+    return LogicalGraph({VertexId("v0"): label}, ())
 
 
 def vertex_equivalent(g: RawGraph, h: RawGraph) -> bool:

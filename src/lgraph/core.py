@@ -481,17 +481,9 @@ def subgraph_relation(g: RawGraph, h: RawGraph) -> SubgraphRelation:
 _TRAILING_DIGITS = re.compile(r"^(.*?)(\d*)$")
 
 
-def fresh_name(base: str, taken: set[str]) -> str:
-    """The first name not in taken: bump/append a numeric suffix on base."""
-    stem, digits = _TRAILING_DIGITS.match(base).groups()
-    n = int(digits) + 1 if digits else 0
-    while f"{stem}{n}" in taken:
-        n += 1
-    return f"{stem}{n}"
-
-
 def _fresh_names(bases: Iterable[str], taken: set[str]) -> list[str]:
-    """``fresh_name`` of each base in turn, each result added to taken.
+    """For each base in turn, the first name not in taken made by bumping
+    or appending a numeric suffix, each result added to taken.
 
     Gives exactly the names of that literal loop, but scans each taken
     suffix once: per-stem skip links, path-compressed, jump over runs of

@@ -2,25 +2,27 @@
 
 Two graphs are vertex alpha-equivalent when some bijection of their vertex
 names preserves labels and edges in both directions.  All four entry points
-run one search.  A plan walks the first graph backward with ``traverse_dfs``,
-each vertex once, and lists one step per start vertex and per edge into a
-visited vertex; it does not depend on the choices made.  The search is one
-loop over the steps, a basic backtrack (Knuth, TAOCP 7.2.2, Algorithm B)
-that keeps a little state per depth instead of a generator per step.  It
+run one search; the two that take vertices raise UnknownVertex for one its
+graph lacks, so the search never meets one.  A plan walks the first graph
+backward with ``traverse_dfs``, each vertex once, and lists one step per
+start vertex and per edge into a visited vertex.  The search is one loop
+over the steps, a basic backtrack (Knuth, TAOCP 7.2.2, Algorithm B).  It
 grows one map in place, undoes it on the way back, and yields maps lazily,
 in lexicographic order of the choices, each taken in ascending vertex
 order.  A map is always injective and label-preserving.
 
-A step whose image vertex has one predecessor is forced: it takes that
-predecessor or fails, with no bucket.  Every other candidate pool is split
-into buckets by a key, kept in ascending order and skipping a prefix of
-used vertices, so a fan-in of k costs O(k).  The key is the label in
-``mk_graph_iso`` and ``vertex_match_perms``, which list embeddings.
-``alpha_equiv`` and ``alpha_equiv_all`` key by colour, the vertex's (label,
-in-degree, out-degree): an isomorphism keeps colours, so this prunes only
-branches that hold none, and every map it completes is an isomorphism, with
-no check after the fact.  Graphs whose colour counts differ are rejected
-before any search.
+A step is one of two kinds.  A check, for an edge from a mapped vertex,
+passes when the edge's image is an edge.  A choice maps a new vertex to an
+unused vertex of its pool, the start pool or the predecessors of the image
+of the vertex it points to.  A pool of one vertex is forced: taken or
+failed, with no bucket.  Every other pool is split into buckets by a key,
+kept in ascending order and skipping a prefix of used vertices, so a
+fan-in of k costs O(k).  The key is the label in ``mk_graph_iso`` and
+``vertex_match_perms``, which list embeddings.  ``alpha_equiv`` and
+``alpha_equiv_all`` key by colour, the vertex's (label, in-degree,
+out-degree): an isomorphism keeps colours, so this prunes only branches
+that hold none, and every map it completes is an isomorphism.  Graphs
+whose colour counts differ are rejected before any search.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ VMap = dict[VertexId, VertexId]
 
 # (u, x, new): u is a predecessor of x, or a start when x is None, and the
 # pool is the predecessors of x's image, or the start pool.  A new u takes
-# an unused vertex of the pool with u's key; an old u's image must be in it.
+# an unused vertex of the pool with u's key; an old u, never a start, must
+# already map onto a predecessor of x's image.
 Step = tuple[VertexId, VertexId | None, bool]
 
 
@@ -70,11 +73,11 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
     left.  Depth d keeps three entries: cells[d], the bucket cell it chose
     from (None for a check step, which passes at most once, and forced for
     a forced step); firsts[d], the cell's first when d was entered; and
-    nexts[d], where d's next choice starts.  The last depth yields each of
-    its choices without moving up.  A yielded map is only valid until the
-    generator is resumed.
+    nexts[d], where d's next choice starts.  A last depth that chooses
+    from a bucket yields each of its choices in place.  A yielded map is
+    only valid until the generator is resumed.
     """
-    used, in_pool = set(m.values()), set(pool)  # pool keeps the order
+    used = set(m.values())
     preds2, edges2 = g2._preds, g2.edges
     # Candidates by image vertex (None: the pool), then by key: a cell
     # [first, ascending candidates] whose candidates before first are all
@@ -98,26 +101,21 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
                 continue
             u, x, new = steps[d]
             if not new:
-                if (m[u] in in_pool) if x is None else ((m[u], m[x]) in edges2):
+                if (m[u], m[x]) in edges2:
                     d += 1
                 else:
                     up = False
                 continue
             w = None if x is None else m[x]
             cands = pool if w is None else preds2[w]
-            if len(cands) == 1 and w is not None:  # forced: no bucket
+            if len(cands) == 1:  # forced: no bucket
                 c = cands[0]
                 up = key2[c] == key1[u] and c not in used
                 if up:
                     m[u] = c
-                    if d == last:  # yields in place, as below
-                        yield m
-                        del m[u]
-                        up = False
-                    else:
-                        used.add(c)
-                        cells[d] = forced
-                        d += 1
+                    used.add(c)
+                    cells[d] = forced
+                    d += 1
                 continue
             by_key = buckets.get(w)
             if by_key is None:
@@ -167,13 +165,22 @@ def vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
                        m: VMap) -> list[VMap]:
     """All extensions of m matching the vertex set asms1 into asms2.
 
-    Already-mapped members of asms1 must land inside asms2 or there is no
-    extension.  The unmapped members are assigned injectively to unused
-    members of asms2 with equal labels, one result per distinct assignment,
-    in lexicographic order of the assignment.  An empty list means failure.
+    A member of asms1 outside g1, or of asms2 outside g2, raises
+    UnknownVertex, mapped or not.  Already-mapped members of asms1 must
+    land inside asms2 or there is no extension.  The unmapped members are
+    assigned injectively to unused members of asms2 with equal labels, one
+    result per distinct assignment, in lexicographic order of the
+    assignment.  An empty list means failure.
     """
-    steps = [(v, None, v not in m) for v in sorted(set(asms1))]
-    pool = sorted(set(asms2))
+    members, pool = sorted(set(asms1)), sorted(set(asms2))
+    for vs, g in ((members, g1), (pool, g2)):
+        for v in vs:
+            if v not in g:
+                raise UnknownVertex(v)
+    images = set(pool)
+    if any(m[v] not in images for v in members if v in m):
+        return []
+    steps = [(v, None, True) for v in members if v not in m]
     return [dict(e) for e in _extensions(g2, steps, dict(m), g1.labelling,
                                          g2.labelling, pool)]
 

@@ -29,6 +29,8 @@ operand with a class marker, kept as they were but for the translation's
 caches, inlined.  The translation runs at any depth in linear time, so it
 is the reference where the fold above is too deep or too slow; the two
 name vertices alike, but only it puts the labelling in name order.
+``fresh_name`` is the literal loop, one suffix at a time, whose names the
+package's batched ``_fresh_names`` must give.
 """
 
 import json
@@ -274,6 +276,18 @@ def ref_all_isos(g1: RawGraph, g2: RawGraph):
             continue
         found.append(m)
     return found
+
+
+_TRAILING_DIGITS = re.compile(r"^(.*?)(\d*)$")
+
+
+def fresh_name(base: str, taken: set[str]) -> str:
+    """The first name not in taken: bump/append a numeric suffix on base."""
+    stem, digits = _TRAILING_DIGITS.match(base).groups()
+    n = int(digits) + 1 if digits else 0
+    while f"{stem}{n}" in taken:
+        n += 1
+    return f"{stem}{n}"
 
 
 def ref_to_graph(f):

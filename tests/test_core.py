@@ -15,7 +15,8 @@ from lgraph import (CyclicEdges, LabelId, LogicalGraph, NotWellFormed,
                     full_assumption_graph, induced_subgraph, predecessors,
                     rename_apart, rename_graph, subgraph_relation, successors,
                     to_json, validate, vset)
-from lgraph.core import Error, _fresh_names, _peel, fresh_name, peel_tree
+from lgraph.core import Error, _fresh_names, _peel, peel_tree
+from refimpl import fresh_name
 from strategies import dag_graphs, named_graphs, raw_graphs, valid_graphs
 from util import G, L, LG, V, names
 

@@ -390,6 +390,32 @@ class TestTotality:
         assert alpha_equiv(cyclic, acyclic) is None
         assert alpha_equiv_all(cyclic, acyclic) == []
 
+    def test_vertex_match_perms_names_an_unknown_member(self):
+        for asms1, asms2, unknown in (([V("zz")], [V("x")], V("zz")),
+                                      ([V("x")], [V("zz")], V("zz")),
+                                      ([V("x"), V("y")], [V("y"), V("ww")],
+                                       V("ww"))):
+            with pytest.raises(UnknownVertex) as raised:
+                vertex_match_perms(CHAIN, asms1, CHAIN, asms2, {})
+            assert raised.value.vertex == unknown
+
+    def test_vertex_match_perms_names_an_unknown_mapped_member(self):
+        with pytest.raises(UnknownVertex) as raised:
+            vertex_match_perms(CHAIN, [V("zz")], CHAIN, [V("x")],
+                               {V("zz"): V("x")})
+        assert raised.value.vertex == V("zz")
+        with pytest.raises(UnknownVertex) as raised:
+            vertex_match_perms(CHAIN, [V("x")], CHAIN, [V("x"), V("zz")],
+                               {V("x"): V("x")})
+        assert raised.value.vertex == V("zz")
+
+    def test_vertex_match_perms_mapped_member_outside_the_pool(self):
+        # v1 alone could take either premise, but v2, mapped and sorted
+        # after it, lands outside the pool: no extension at all.
+        m = {V("v2"): V("v0")}
+        assert vertex_match_perms(FORK, [V("v1"), V("v2")], FORK,
+                                  [V("v1"), V("v2")], m) == []
+
     def test_mk_graph_iso_ends_on_a_cycle(self):
         maps = mk_graph_iso(self.CYCLE, V("z"), self.CYCLE, V("z"))
         assert maps == [{V("z"): V("z"), V("w"): V("w"), V("u"): V("u")}]
