@@ -2,14 +2,14 @@
 
 Two graphs are vertex alpha-equivalent when some bijection of their vertex
 names preserves labels and edges in both directions.  All four entry points
-run one search; the two that take vertices raise UnknownVertex for one its
-graph lacks, so the search never meets one.  A plan walks the first graph
-backward with ``traverse_dfs``, each vertex once, and lists one step per
-start vertex and per edge into a visited vertex.  The search is one loop
-over the steps, a basic backtrack (Knuth, TAOCP 7.2.2, Algorithm B).  It
-grows one map in place, undoes it on the way back, and yields maps lazily,
-in lexicographic order of the choices, each taken in ascending vertex
-order.  A map is always injective and label-preserving.
+run one search; the two that take vertices and a map raise UnknownVertex
+for one its graph lacks, so the search never meets one.  A plan walks the
+first graph backward with ``traverse_dfs``, each vertex once, and lists one
+step per start vertex and per edge into a visited vertex.  The search is
+one loop over the steps, a basic backtrack (Knuth, TAOCP 7.2.2, Algorithm
+B).  It grows one map in place, undoes it on the way back, and yields maps
+lazily, in lexicographic order of the choices, each taken in ascending
+vertex order.  A map is always injective and label-preserving.
 
 A step is one of two kinds.  A check, for an edge from a mapped vertex,
 passes when the edge's image is an edge.  A choice maps a new vertex to an
@@ -161,12 +161,21 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
         up = True
 
 
+def _check_pairs(pairs, g1: RawGraph, g2: RawGraph) -> None:
+    """UnknownVertex for the first u outside g1 or v outside g2, in order."""
+    for u, v in pairs:
+        for w, g in ((u, g1), (v, g2)):
+            if w not in g:
+                raise UnknownVertex(w)
+
+
 def vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
                        m: VMap) -> list[VMap]:
     """All extensions of m matching the vertex set asms1 into asms2.
 
     A member of asms1 outside g1, or of asms2 outside g2, raises
-    UnknownVertex, mapped or not.  Already-mapped members of asms1 must
+    UnknownVertex, mapped or not, and so does a key of m outside g1 or a
+    value outside g2.  Already-mapped members of asms1 must
     land inside asms2 or there is no extension.  The unmapped members are
     assigned injectively to unused members of asms2 with equal labels, one
     result per distinct assignment, in lexicographic order of the
@@ -177,6 +186,7 @@ def vertex_match_perms(g1: RawGraph, asms1, g2: RawGraph, asms2,
         for v in vs:
             if v not in g:
                 raise UnknownVertex(v)
+    _check_pairs(m.items(), g1, g2)
     images = set(pool)
     if any(m[v] not in images for v in members if v in m):
         return []
@@ -191,15 +201,13 @@ def mk_graph_iso(g1: RawGraph, v1: VertexId, g2: RawGraph, v2: VertexId,
 
     Walks g1 backward from v1, each vertex once, matching the predecessors
     of each visited vertex x against the predecessors of x's image.
-    ``seed`` optionally supplies assignments that every embedding extends.
+    ``seed`` optionally supplies assignments that every embedding extends;
+    a key outside g1 or a value outside g2 raises UnknownVertex.
     """
-    if v1 not in g1:
-        raise UnknownVertex(v1)
-    if v2 not in g2:
-        raise UnknownVertex(v2)
+    m = dict(seed) if seed else {}
+    _check_pairs([(v1, v2), *m.items()], g1, g2)
     if g1.labelling[v1] != g2.labelling[v2]:
         return []
-    m = dict(seed) if seed else {}
     if m.get(v1, v2) != v2 or v2 in set(m.values()) - {m.get(v1)}:
         return []
     m[v1] = v2

@@ -9,14 +9,14 @@ set form the tensor on the right of one implication whose left side is the
 decomposition of that shared predecessor set's own subgraph.
 
 Clique members and sibling parts are emitted in a sorted order independent
-of vertex names, so the printed canonical formula, the canonical key, is
-the one canonical form per alpha-equivalence class: ``to_formula`` parses
-it, and ``normalize`` reads it off a formula's graph, collapsing the
-commutativity/associativity/currying symmetries.  Formulas whose graphs
-fail validation have no canonical form; ``normalize`` raises NotInFragment.
-Parsing, printing, translation and the canonical walk run on explicit
-stacks, so any depth works.  The parser reads the tokens of one regex scan,
-and text is built from pieces joined once; ``_SYNTAX`` sets parentheses.
+of vertex names, so the printed canonical formula, the canonical key, is the
+one canonical form per alpha-equivalence class: ``to_formula`` parses it,
+and ``normalize`` reads it off the translation's peel tree, composed from
+the formula, collapsing the commutativity/associativity/currying symmetries.
+Outside the fragment, ``normalize`` raises NotInFragment.  Parsing,
+printing, translation and the canonical walk run on explicit stacks.  The
+parser reads the tokens of one regex scan, and text is built from pieces
+joined once; ``_SYNTAX`` sets parentheses.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from itertools import product
 from typing import Sequence, Union
 
 from . import algebra
-from .core import (Error, LabelId, LogicalGraph, NotWellFormed, RawGraph,
-                   VertexId, VSet, _graph, peel_tree)
+from .core import (Error, LabelId, LogicalGraph, NotWellFormed, PeelTree,
+                   RawGraph, VertexId, VSet, _graph, peel_tree)
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,41 +390,42 @@ def _right_tensor(operands: list[str]) -> str:
 _NO_PARTS = ("1", _ATOM)
 
 
-def _canonicalize(g: RawGraph, nodes: list | None = None) -> str:
-    """Sort g's peel tree canonically and compose the canonical key.
+def _canonicalize(tree: PeelTree, label, nodes: list | None = None) -> str:
+    """Sort a peel tree canonically and compose the canonical key.
 
-    Clique members tensor in ascending label order, implied by their
-    assumptions' text when there are any; sibling parts sort by their text
-    and tensor together.  A post-order walk over an explicit stack: a list
-    opens a level, a clique closes the part it heads and an int n closes the
-    level of the last n parts, so any depth is walked.  Texts are pieces,
-    flattened where a level of two or more parts sorts them and at the end.
-    Given a list, the walk leaves the ``Decomposition`` in it.
+    ``label`` reads a clique member's label: a graph's labelling, or
+    ``str.__str__`` where cliques hold labels.  Clique members tensor in
+    ascending label order, implied by their assumptions' text when there are
+    any; sibling parts sort by their text and tensor together.  A post-order
+    walk over an explicit stack: a list opens a level, a part closes after
+    its children and an int n closes the level of the last n parts.  Texts
+    are pieces, flattened where a level of two or more parts sorts them and
+    at the end.  Given a list, the walk leaves the ``Decomposition`` in it.
     """
     _, tensor, tensor_left, tensor_right = _SYNTAX[Tensor]
     _, lolli, lolli_left, _ = _SYNTAX[Lolli]
-    labelling = g.labelling
     done: list = []  # (piece, precedence) per closed part or level
-    todo: list = [peel_tree(g)]
+    todo: list = [tree]
     while todo:
         x = todo.pop()
         if type(x) is list:
             todo.append(len(x))
             for part in reversed(x):
-                todo += part  # its clique, then its children
+                todo += (part, part[1])  # closed after its children
         elif type(x) is tuple:
             sub = done.pop()
-            if len(x) == 1:
-                text, prec = str.__str__(labelling[x[0]]), _ATOM
+            clique = x[0]
+            if len(clique) == 1:
+                text, prec = str.__str__(label(clique[0])), _ATOM
             else:
-                text, prec = _right_tensor(sorted([labelling[v] for v in x],
+                text, prec = _right_tensor(sorted(map(label, clique),
                                                   key=str.__str__)), tensor
             if sub is not _NO_PARTS:
                 text, prec = ((sub[0], " -o ", text) if sub[1] >= lolli_left
                               else ("(", sub[0], ") -o ", text)), lolli
             done.append((text, prec))
             if nodes is not None:
-                nodes.append(DecompositionPart(x, nodes.pop()))
+                nodes.append(DecompositionPart(x[0], nodes.pop()))
         elif x == 0:  # a level without parts: 1
             done.append(_NO_PARTS)
             if nodes is not None:
@@ -454,7 +455,7 @@ def decompose(g: LogicalGraph) -> Decomposition:
     from the walk that composes the canonical key.
     """
     nodes: list = []
-    _canonicalize(g, nodes)
+    _canonicalize(peel_tree(g), g.labelling.__getitem__, nodes)
     return nodes[0]
 
 
@@ -465,7 +466,7 @@ def canonical_key(g: LogicalGraph) -> str:
     more parts, whose sort needs their text, and one for the whole key.
     No ``Decomposition`` is built.
     """
-    return _canonicalize(g)
+    return _canonicalize(peel_tree(g), g.labelling.__getitem__)
 
 
 def _key_formula(key: str) -> Formula:
@@ -486,17 +487,68 @@ def to_formula(g: LogicalGraph) -> Formula:
     return _key_formula(canonical_key(g))
 
 
+def _union(a: list, b: list) -> list:
+    """The level of A * B: the parts of A's and B's, with their premise-less
+    cliques, each last in its level, merged.  The smaller list moves."""
+    if len(a) < len(b):
+        a, b = b, a
+    if b and not b[-1][1] and not a[-1][1]:
+        free = a.pop()
+        if len(free[0]) > len(b[-1][0]):
+            free, b[-1] = b[-1], free
+        b[-1][0].extend(free[0])
+    elif a and not a[-1][1]:
+        b.append(a.pop())
+    a += b
+    return a
+
+
+def _imply(a: list, b: list) -> list | None:
+    """A -o B: A joins the assumptions of B if B is one clique, else None."""
+    if a and b:
+        if len(b) > 1:
+            return None
+        b[0] = (b[0][0], _union(b[0][1], a))
+    return b or a
+
+
+def _formula_tree(f: Formula) -> PeelTree | None:
+    """The peel tree of ``to_graph(f)`` read off f, with label lists for
+    cliques; None outside the fragment or on a non-formula.  A compound
+    pushes its step and operands on an explicit stack: any depth is walked.
+    """
+    levels: list = []
+    todo: list = [f]
+    while todo:
+        x = todo.pop()
+        kind = type(x)
+        if kind is Atom or kind is Unit:
+            levels.append([([x.label], [])] if kind is Atom else [])
+        elif kind is Tensor or kind is Lolli:
+            todo += (_union if kind is Tensor else _imply, x.right, x.left)
+        elif x is _union or x is _imply:
+            levels.append(x(levels.pop(-2), levels.pop()))
+            if levels[-1] is None:
+                return None
+        else:
+            return None
+    return levels[0]
+
+
 def normalize(f: Formula) -> Formula:
     """The canonical representative of f's symmetry class.
 
-    ``to_formula(validate(to_graph(f)))`` without the promoted copy.  The
-    translation is acyclic, so the peel's NotWellFormed is the only way
-    validation can fail: it is the cause of NotInFragment, which carries the
-    graph.  Idempotent on its domain; shares results as ``to_formula`` does.
+    ``to_formula(validate(to_graph(f)))`` without the promoted copy, read
+    off the translation's peel tree as composed from f.  Outside the
+    fragment f is translated, and the peel's NotWellFormed is the cause of
+    NotInFragment, which carries the graph.  Idempotent on its domain;
+    shares results as ``to_formula`` does.
     """
-    g = to_graph(f)
-    try:
-        key = _canonicalize(g)
-    except NotWellFormed as exc:
-        raise NotInFragment(g, exc) from None
-    return _key_formula(key)
+    tree = _formula_tree(f)
+    if tree is None:
+        g = to_graph(f)
+        try:
+            return _key_formula(canonical_key(g))
+        except NotWellFormed as exc:
+            raise NotInFragment(g, exc) from None
+    return _key_formula(_canonicalize(tree, str.__str__))

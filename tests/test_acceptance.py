@@ -31,7 +31,8 @@ from lgraph import (Action, LabelId, NotASubgraphByName, NotInFragment,
 from lgraph.core import Error, _up_closure
 from lgraph.mill import Atom, Lolli, Tensor, Unit
 from lgraph.oracle import count_formulas
-from util import G, L, V, flat_tensor, left_lolli, right_lolli
+from util import (G, L, V, flat_tensor, left_lolli, right_lolli,
+                  right_tensor)
 
 ATOMS = [LabelId("p"), LabelId("q")]
 MAX_CONNECTIVES = 5
@@ -517,6 +518,30 @@ def test_linear_scaling_of_to_graph():
     table = "; ".join(f"{name}: " + "/".join(f"{t * 1000:.0f}" for t in times)
                       + " ms" for name, times in rows.items())
     print(f"\nacceptance to_graph scaling: PASS (n={sizes}; {table})")
+
+
+def test_linear_scaling_of_normalize():
+    # normalize composes the peel tree from the formula and merges the
+    # smaller of two lists into the larger; extending the left one instead
+    # made the right-nested tensor quadratic (2.44 s at 4e4 atoms).
+    sizes = [10_000, 31_623, 100_000]
+    shapes = {"left *": flat_tensor, "right *": right_tensor,
+              "left -o": left_lolli, "right -o": right_lolli}
+    rows = {name: [] for name in shapes}
+    for n in sizes:
+        for name, build in shapes.items():
+            f = build(_labels(n))
+            rows[name].append(_best_of(3, lambda: normalize(f)))
+            assert print_formula(normalize(f)) == \
+                canonical_key(validate(to_graph(f))), f"{name} at {n}"
+    for name, times in rows.items():
+        assert times[-1] < 2.0, f"normalize of a {name} chain at 1e5: " \
+                                f"{times[-1]:.3f}s"
+        slope = _loglog_slope(sizes, times)
+        assert 0.4 < slope < 1.6, f"{name}: log-log slope {slope:.2f}"
+    table = "; ".join(f"{name}: " + "/".join(f"{t * 1000:.0f}" for t in times)
+                      + " ms" for name, times in rows.items())
+    print(f"\nacceptance normalize scaling: PASS (n={sizes}; {table})")
 
 
 def test_add_of_a_large_graph_to_itself():

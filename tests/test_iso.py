@@ -409,6 +409,33 @@ class TestTotality:
                                {V("x"): V("x")})
         assert raised.value.vertex == V("zz")
 
+    def test_a_map_naming_an_unknown_vertex_raises(self):
+        # A key outside g1 or a value outside g2 is named, not taken as a
+        # constraint that no extension meets.
+        x, z = V("x"), V("z")
+        for call, unknown in (
+                (lambda: mk_graph_iso(CHAIN, z, CHAIN, z, {V("zz"): x}), "zz"),
+                (lambda: mk_graph_iso(CHAIN, z, CHAIN, z, {x: V("ww")}), "ww"),
+                (lambda: vertex_match_perms(CHAIN, [x], CHAIN, [x],
+                                            {V("qq"): x}), "qq"),
+                (lambda: vertex_match_perms(CHAIN, [x], CHAIN, [x],
+                                            {x: V("ww")}), "ww")):
+            with pytest.raises(UnknownVertex) as raised:
+                call()
+            assert raised.value.vertex == V(unknown)
+
+    def test_a_map_names_its_first_unknown_vertex(self):
+        # In the map's order, a key before its value; the labels of v1 and
+        # v2 differ, but the map is checked before the search answers no.
+        m = {V("y"): V("y"), V("k1"): V("k2"), V("x"): V("k3")}
+        with pytest.raises(UnknownVertex) as raised:
+            mk_graph_iso(CHAIN, V("z"), CHAIN, V("y"), m)
+        assert raised.value.vertex == V("k1")
+        m = {V("y"): V("k2"), V("k1"): V("x")}
+        with pytest.raises(UnknownVertex) as raised:
+            vertex_match_perms(CHAIN, [V("x")], CHAIN, [V("x")], m)
+        assert raised.value.vertex == V("k2")
+
     def test_vertex_match_perms_mapped_member_outside_the_pool(self):
         # v1 alone could take either premise, but v2, mapped and sorted
         # after it, lands outside the pool: no extension at all.

@@ -434,6 +434,16 @@ class TestNormalize:
                   for f in enumerate_formulas([P, Q], 3)]
         assert inside.count(False) == 32
 
+    @pytest.mark.parametrize("atoms, connectives, count, outside",
+                             [([P, Q, R], 3, 10_788, 162),
+                              ([P], 4, 7_882, 85)])
+    def test_matches_the_validated_path_on_wider_enumerations(
+            self, atoms, connectives, count, outside):
+        formulas = enumerate_formulas(atoms, connectives)
+        assert len(formulas) == count
+        inside = [self._matches_the_validated_path(f) for f in formulas]
+        assert inside.count(False) == outside
+
     @given(formulas)
     @settings(max_examples=200)
     def test_matches_the_validated_path(self, f):

@@ -48,6 +48,14 @@ def flat_tensor(labels):
     return f
 
 
+def right_tensor(labels):
+    """l0 * (l1 * (... * ln))"""
+    f = Atom(labels[-1])
+    for label in reversed(labels[:-1]):
+        f = Tensor(Atom(label), f)
+    return f
+
+
 def left_lolli(labels):
     """((l0 -o l1) -o l2) -o ..."""
     f = Atom(labels[0])
