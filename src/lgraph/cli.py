@@ -205,15 +205,18 @@ def _cmd_enumerate(args) -> int:
     # normalize shares one formula per short key: tally by identity, print
     # each once, and merge by text, since a key evicted from that cache comes
     # back as a new object.  The tally keeps its forms alive, so ids stay.
+    # The formulas are built from earlier ones, so the scope lets normalize
+    # compose each class from its operands' classes.
     tally: dict[int, list] = {}  # id -> [normal form, count]
     skipped = 0
-    for f in formulas:
-        try:
-            normal = mill.normalize(f)
-        except NotInFragment:
-            skipped += 1
-            continue
-        tally.setdefault(id(normal), [normal, 0])[1] += 1
+    with mill._sharing_classes():
+        for f in formulas:
+            try:
+                normal = mill.normalize(f)
+            except NotInFragment:
+                skipped += 1
+                continue
+            tally.setdefault(id(normal), [normal, 0])[1] += 1
     classes: dict[str, int] = {}
     for normal, n in tally.values():
         key = mill.print_formula(normal)

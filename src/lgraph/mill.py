@@ -13,7 +13,9 @@ of vertex names, so the printed canonical formula, the canonical key, is the
 one canonical form per alpha-equivalence class: ``to_formula`` parses it,
 and ``normalize`` reads it off the translation's peel tree, composed from
 the formula, collapsing the commutativity/associativity/currying symmetries.
-Outside the fragment, ``normalize`` raises NotInFragment.  Parsing,
+Outside the fragment, ``normalize`` raises NotInFragment.  While
+``lg enumerate --classes`` runs, and only then, a memo of classes lets
+``normalize`` take a compound's class from its operands' classes.  Parsing,
 printing, translation and the canonical walk run on explicit stacks.  The
 parser reads the tokens of one regex scan, and text is built from pieces
 joined once; ``_SYNTAX`` sets parentheses.
@@ -22,6 +24,7 @@ joined once; ``_SYNTAX`` sets parentheses.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -514,25 +517,71 @@ def _imply(a: list, b: list) -> list | None:
 
 def _formula_tree(f: Formula) -> PeelTree | None:
     """The peel tree of ``to_graph(f)`` read off f, with label lists for
-    cliques; None outside the fragment or on a non-formula.  A compound
-    pushes its step and operands on an explicit stack: any depth is walked.
+    cliques; None outside the fragment or on a non-formula.
+
+    Two passes over explicit stacks, so any depth is walked: a right-first
+    pre-order of f, then a fold over it backwards, operands before the step
+    that joins them.  No step waits among the operands, so no operand can be
+    taken for one.
     """
-    levels: list = []
+    nodes: list = []
     todo: list = [f]
     while todo:
         x = todo.pop()
         kind = type(x)
-        if kind is Atom or kind is Unit:
-            levels.append([([x.label], [])] if kind is Atom else [])
-        elif kind is Tensor or kind is Lolli:
-            todo += (_union if kind is Tensor else _imply, x.right, x.left)
-        elif x is _union or x is _imply:
-            levels.append(x(levels.pop(-2), levels.pop()))
-            if levels[-1] is None:
-                return None
-        else:
+        if kind is Tensor or kind is Lolli:
+            todo += (x.left, x.right)  # the right one taken first
+        elif kind is not Atom and kind is not Unit:
             return None
+        nodes.append(x)
+    levels: list = []
+    for x in reversed(nodes):
+        kind = type(x)
+        if kind is Atom:
+            levels.append([([x.label], [])])
+        elif kind is Unit:
+            levels.append([])
+        else:
+            level = (_union if kind is Tensor else _imply)(levels.pop(-2),
+                                                           levels.pop())
+            if level is None:
+                return None
+            levels.append(level)
     return levels[0]
+
+
+def _key_text(f: Formula) -> str:
+    """f's canonical key, read off the peel tree composed from f; outside
+    the fragment f is translated and NotInFragment carries the graph."""
+    tree = _formula_tree(f)
+    if tree is None:
+        g = to_graph(f)
+        try:
+            return canonical_key(g)
+        except NotWellFormed as exc:
+            raise NotInFragment(g, exc) from None
+    return _canonicalize(tree, str.__str__)
+
+
+# While ``_sharing_classes`` is open: a dict from id(f) to (key, normal
+# form) for each formula f normalised inside the fragment, and from
+# (connective, left key, right key) to the pair of the first formula so
+# composed; and a list that keeps each such f alive, so that no id is
+# reused while the scope is open.
+_classes: tuple[dict, list] | None = None
+
+
+@contextmanager
+def _sharing_classes():
+    """A scope in which ``normalize`` reads a compound's class off its
+    operands' classes, when both were normalised in it before."""
+    global _classes
+    outer = _classes
+    _classes = ({}, [])
+    try:
+        yield
+    finally:
+        _classes = outer
 
 
 def normalize(f: Formula) -> Formula:
@@ -543,12 +592,28 @@ def normalize(f: Formula) -> Formula:
     fragment f is translated, and the peel's NotWellFormed is the cause of
     NotInFragment, which carries the graph.  Idempotent on its domain;
     shares results as ``to_formula`` does.
+
+    Alpha-equivalence is a congruence for '*' and '-o', so inside
+    ``_sharing_classes``, which only ``lg enumerate --classes`` opens, a
+    tensor or implication of two operands normalised there before takes the
+    class recorded for the same connective and operand keys, with no walk.
     """
-    tree = _formula_tree(f)
-    if tree is None:
-        g = to_graph(f)
-        try:
-            return _key_formula(canonical_key(g))
-        except NotWellFormed as exc:
-            raise NotInFragment(g, exc) from None
-    return _key_formula(_canonicalize(tree, str.__str__))
+    scope = _classes
+    if scope is None:
+        return _key_formula(_key_text(f))
+    classes, kept = scope
+    known = triple = None
+    kind = type(f)
+    if kind is Tensor or kind is Lolli:
+        left, right = classes.get(id(f.left)), classes.get(id(f.right))
+        if left is not None and right is not None:
+            triple = (kind, left[0], right[0])
+            known = classes.get(triple)
+    if known is None:
+        key = _key_text(f)
+        known = (key, _key_formula(key))
+        if triple is not None:
+            classes[triple] = known
+    classes[id(f)] = known
+    kept.append(f)
+    return known[1]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgraph import mill
 from lgraph import (LabelId, NotInFragment, enumerate_formulas, from_json,
                     normalize, print_formula, to_json)
 from lgraph.cli import run
@@ -350,6 +351,60 @@ class TestDotAndEnumerate:
         assert err == f"skipped {skipped} formulas outside the fragment\n"
         if atoms == "p,q,r":
             assert len(classes) == 842 and len(forms) > len(classes)
+
+    def test_enumerate_classes_walks_once_per_operand_classes(self, capsys,
+                                                             monkeypatch):
+        # A compound whose operands' classes met before under the same
+        # connective takes that class with no walk of its own.  The bound is
+        # worked out from plain normalize: enumerate_formulas builds each
+        # formula from earlier ones, so operands come first.
+        formulas = enumerate_formulas([LabelId("p"), LabelId("q")], 3)
+        keys = {}  # id -> key; the list keeps every formula alive
+        for f in formulas:
+            try:
+                keys[id(f)] = print_formula(normalize(f))
+            except NotInFragment:
+                pass
+        compounds = [f for f in formulas if type(f) in (mill.Tensor,
+                                                        mill.Lolli)]
+        leaves = len(formulas) - len(compounds)
+        triples = {(type(f), keys[id(f.left)], keys[id(f.right)])
+                   for f in compounds
+                   if id(f.left) in keys and id(f.right) in keys}
+        outside = len(formulas) - len(keys)
+        walks = 0
+        walk = mill._formula_tree
+
+        def counted(f):
+            nonlocal walks
+            walks += 1
+            return walk(f)
+
+        monkeypatch.setattr(mill, "_formula_tree", counted)
+        code, out, _ = invoke(capsys, "enumerate", "--atoms", "p,q",
+                              "--max-connectives", "3", "--classes")
+        assert code == 0 and len(out.splitlines()) == 202
+        assert walks <= leaves + len(triples) + outside < len(formulas) / 4
+
+    @pytest.mark.parametrize("argv", [
+        ["--atoms", "p,q", "--max-connectives", "2", "--classes"],
+        ["--atoms", "p,q", "--max-connectives", "9", "--classes"],
+    ])
+    def test_enumerate_classes_closes_its_scope(self, capsys, argv):
+        invoke(capsys, "enumerate", *argv)
+        assert mill._classes is None
+
+    def test_enumerate_classes_closes_its_scope_on_a_fault(self, capsys,
+                                                           monkeypatch):
+        def fault(f):
+            raise RuntimeError("fault")
+
+        monkeypatch.setattr(mill, "_key_text", fault)
+        code, out, err = invoke(capsys, "enumerate", "--atoms", "p",
+                                "--max-connectives", "1", "--classes")
+        assert (code, out, err) == (2, "", "error:internal: RuntimeError: "
+                                    "fault\n")
+        assert mill._classes is None
 
     def test_enumerate_refuses_oversized(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "--atoms", "p,q,r",

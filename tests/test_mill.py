@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import refimpl
+from lgraph import mill
 from lgraph import (Atom, Error, LogicalGraph, Lolli, NotInFragment,
                     ParseError, RawGraph, Tensor, Unit, alpha_equiv,
                     canonical_key, decompose, empty, enumerate_formulas,
@@ -448,6 +449,44 @@ class TestNormalize:
     @settings(max_examples=200)
     def test_matches_the_validated_path(self, f):
         self._matches_the_validated_path(f)
+
+    @pytest.mark.parametrize("f", [
+        Tensor(mill._union, Atom(P)),
+        Lolli(Atom(P), Tensor(Atom(P), mill._imply)),
+        Lolli(mill._imply, Atom(Q)),
+        Tensor(Atom(P), Lolli(Atom(Q), mill._union)),
+    ])
+    def test_the_tree_walks_steps_are_not_formulas(self, f):
+        # _union and _imply are the steps of the walk that composes the peel
+        # tree; as operands they are no formula, as for to_graph.
+        with pytest.raises(TypeError) as want:
+            to_graph(f)
+        with pytest.raises(TypeError) as got:
+            normalize(f)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("atoms", [[P, Q], [P, Q, R]])
+    def test_sharing_classes_changes_no_result(self, atoms):
+        formulas = enumerate_formulas(atoms, 3)
+
+        def results():
+            out = []
+            for f in formulas:
+                try:
+                    out.append(print_formula(normalize(f)))
+                except NotInFragment as exc:
+                    out.append((str(exc), exc.graph))
+            return out
+
+        plain = results()
+        with mill._sharing_classes():
+            with mill._sharing_classes():
+                assert mill._classes == ({}, [])
+            shared = results()
+        assert mill._classes is None
+        assert shared == plain
+        assert sum(type(r) is tuple for r in plain) == \
+            {2: 32, 3: 162}[len(atoms)]
 
     @given(formulas)
     @settings(max_examples=120)
