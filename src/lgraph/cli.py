@@ -202,11 +202,9 @@ def _cmd_enumerate(args) -> int:
         for f in formulas:
             print(mill.print_formula(f))
         return 0
-    # normalize shares one formula per short key: tally by identity, print
-    # each once, and merge by text, since a key evicted from that cache comes
-    # back as a new object.  The tally keeps its forms alive, so ids stay.
     # The formulas are built from earlier ones, so the scope lets normalize
-    # compose each class from its operands' classes.
+    # compose each class from its operands' classes, and it hands back one
+    # formula per class: tally by identity and print each once.
     tally: dict[int, list] = {}  # id -> [normal form, count]
     skipped = 0
     with mill._sharing_classes():
@@ -217,12 +215,9 @@ def _cmd_enumerate(args) -> int:
                 skipped += 1
                 continue
             tally.setdefault(id(normal), [normal, 0])[1] += 1
-    classes: dict[str, int] = {}
-    for normal, n in tally.values():
-        key = mill.print_formula(normal)
-        classes[key] = classes.get(key, 0) + n
-    for key in sorted(classes):
-        print(f"{key}\t{classes[key]}")
+    for key, n in sorted((mill.print_formula(normal), n)
+                         for normal, n in tally.values()):
+        print(f"{key}\t{n}")
     if skipped:
         print(f"skipped {skipped} formulas outside the fragment",
               file=sys.stderr)

@@ -15,10 +15,11 @@ and ``normalize`` reads it off the translation's peel tree, composed from
 the formula, collapsing the commutativity/associativity/currying symmetries.
 Outside the fragment, ``normalize`` raises NotInFragment.  While
 ``lg enumerate --classes`` runs, and only then, a memo of classes lets
-``normalize`` take a compound's class from its operands' classes.  Parsing,
-printing, translation and the canonical walk run on explicit stacks.  The
-parser reads the tokens of one regex scan, and text is built from pieces
-joined once; ``_SYNTAX`` sets parentheses.
+``normalize`` take a compound's class from its operands' classes and hand
+back one formula per class.  Parsing, printing, translation and the
+canonical walk run on explicit stacks.  The parser reads the tokens of one
+regex scan, and text is built from pieces joined once; ``_SYNTAX`` sets
+parentheses.
 """
 
 from __future__ import annotations
@@ -472,22 +473,12 @@ def canonical_key(g: LogicalGraph) -> str:
     return _canonicalize(peel_tree(g), g.labelling.__getitem__)
 
 
-def _key_formula(key: str) -> Formula:
-    """A key, parsed: one shared formula per key of up to 256 characters."""
-    return _parse_short_key(key) if len(key) <= 256 else parse(key)
-
-
-_parse_short_key = lru_cache(maxsize=256)(parse)
-
-
 def to_formula(g: LogicalGraph) -> Formula:
     """The canonical formula of a validated graph: its canonical key, parsed.
 
-    Output depends only on the alpha-equivalence class of the graph.  Keys
-    of up to 256 characters are parsed once and the formula shared: formulas
-    are immutable, and ``lg enumerate --classes`` tallies by that object.
+    Output depends only on the alpha-equivalence class of the graph.
     """
-    return _key_formula(canonical_key(g))
+    return parse(canonical_key(g))
 
 
 def _union(a: list, b: list) -> list:
@@ -564,17 +555,18 @@ def _key_text(f: Formula) -> str:
 
 
 # While ``_sharing_classes`` is open: a dict from id(f) to (key, normal
-# form) for each formula f normalised inside the fragment, and from
+# form) for each formula f normalised inside the fragment, from
 # (connective, left key, right key) to the pair of the first formula so
-# composed; and a list that keeps each such f alive, so that no id is
-# reused while the scope is open.
+# composed, and from each key to its class's one pair; and a list that
+# keeps each such f alive, so that no id is reused while the scope is open.
 _classes: tuple[dict, list] | None = None
 
 
 @contextmanager
 def _sharing_classes():
     """A scope in which ``normalize`` reads a compound's class off its
-    operands' classes, when both were normalised in it before."""
+    operands' classes, when both were normalised in it before, and returns
+    one normal form object per class."""
     global _classes
     outer = _classes
     _classes = ({}, [])
@@ -590,17 +582,17 @@ def normalize(f: Formula) -> Formula:
     ``to_formula(validate(to_graph(f)))`` without the promoted copy, read
     off the translation's peel tree as composed from f.  Outside the
     fragment f is translated, and the peel's NotWellFormed is the cause of
-    NotInFragment, which carries the graph.  Idempotent on its domain;
-    shares results as ``to_formula`` does.
+    NotInFragment, which carries the graph.  Idempotent on its domain.
 
     Alpha-equivalence is a congruence for '*' and '-o', so inside
     ``_sharing_classes``, which only ``lg enumerate --classes`` opens, a
     tensor or implication of two operands normalised there before takes the
-    class recorded for the same connective and operand keys, with no walk.
+    class recorded for the same connective and operand keys, with no walk,
+    and a key met before gives its class's normal form without a parse.
     """
     scope = _classes
     if scope is None:
-        return _key_formula(_key_text(f))
+        return parse(_key_text(f))
     classes, kept = scope
     known = triple = None
     kind = type(f)
@@ -611,7 +603,9 @@ def normalize(f: Formula) -> Formula:
             known = classes.get(triple)
     if known is None:
         key = _key_text(f)
-        known = (key, _key_formula(key))
+        known = classes.get(key)
+        if known is None:
+            known = classes[key] = (key, parse(key))
         if triple is not None:
             classes[triple] = known
     classes[id(f)] = known

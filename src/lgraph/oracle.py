@@ -11,7 +11,7 @@ only: the generators refuse oversized requests instead of running away.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from operator import attrgetter
 
 from .core import Error, LabelId, RawGraph, VertexId
@@ -55,13 +55,20 @@ def naive_iso(g1: RawGraph, g2: RawGraph) -> list[VMap]:
     return results
 
 
-def count_formulas(n_atoms: int, max_connectives: int) -> int:
-    """How many formulas enumerate_formulas would yield."""
+def _per_level(n_atoms: int, max_connectives: int):
+    """How many formulas have exactly c connectives, for c = 0 and then
+    each c up to max_connectives."""
     per_count = [1 + n_atoms]
+    yield per_count[0]
     for c in range(1, max_connectives + 1):
         per_count.append(2 * sum(per_count[i] * per_count[c - 1 - i]
                                  for i in range(c)))
-    return sum(per_count)
+        yield per_count[c]
+
+
+def count_formulas(n_atoms: int, max_connectives: int) -> int:
+    """How many formulas enumerate_formulas would yield."""
+    return sum(_per_level(n_atoms, max_connectives))
 
 
 def enumerate_formulas(atoms: list[LabelId], max_connectives: int,
@@ -69,14 +76,15 @@ def enumerate_formulas(atoms: list[LabelId], max_connectives: int,
     """Every formula over Unit and the atoms with at most the given number
     of Tensor/Lolli nodes; exhaustive, duplicate-free, deterministic order.
 
-    Refuses (BoundsTooLarge) when the predicted size exceeds max_count.
+    Refuses (BoundsTooLarge) when the predicted size exceeds max_count,
+    counting level by level and stopping at the first level past it.
     """
     atoms = list(dict.fromkeys(atoms))
-    total = count_formulas(len(atoms), max_connectives)
-    if total > max_count:
+    if any(total > max_count for total in
+           accumulate(_per_level(len(atoms), max_connectives))):
         raise BoundsTooLarge(
-            f"{total} formulas for {len(atoms)} atoms and "
-            f"{max_connectives} connectives exceeds the cap of {max_count}")
+            f"more than {max_count} formulas for {len(atoms)} atoms and "
+            f"{max_connectives} connectives")
     by_count: list[list[Formula]] = [[Unit()] + [Atom(a) for a in atoms]]
     for c in range(1, max_connectives + 1):
         level: list[Formula] = []

@@ -328,10 +328,9 @@ class TestDotAndEnumerate:
 
     @pytest.mark.parametrize("atoms", ["p,q", "p,q,r"])
     def test_enumerate_class_table_is_the_literal_tally(self, capsys, atoms):
-        # The CLI prints each shared normal form once; here every formula is
-        # printed.  p,q,r has 842 classes, more than the 256 keys whose
-        # parsed formula is shared, so an evicted key comes back as a new
-        # object and its counts must merge with the old one's.
+        # The CLI prints each class's one normal form once; here every
+        # formula's normal form is printed, outside the scope that shares
+        # one per class, so the objects outnumber the classes.
         code, out, err = invoke(capsys, "enumerate", "--atoms", atoms,
                                 "--max-connectives", "3", "--classes")
         classes: dict[str, int] = {}
@@ -410,6 +409,14 @@ class TestDotAndEnumerate:
         code, _, err = invoke(capsys, "enumerate", "--atoms", "p,q,r",
                               "--max-connectives", "6")
         assert code == 2
+        assert err.startswith("error:bounds-too-large:")
+
+    def test_enumerate_refuses_a_huge_bound_in_one_line(self, capsys):
+        atoms = ",".join(f"a{i}" for i in range(1000))
+        code, out, err = invoke(capsys, "enumerate", "--atoms", atoms,
+                                "--max-connectives", "1200")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
         assert err.startswith("error:bounds-too-large:")
 
     def test_enumerate_cap_is_configurable(self, capsys):

@@ -488,6 +488,19 @@ class TestNormalize:
         assert sum(type(r) is tuple for r in plain) == \
             {2: 32, 3: 162}[len(atoms)]
 
+    def test_sharing_classes_gives_one_object_per_class(self):
+        # Each formula of one class gets the same normal form back, whether
+        # its class came from its operands' classes or from a walk.
+        normals = []
+        with mill._sharing_classes():
+            for f in enumerate_formulas([P, Q, R], 3):
+                try:
+                    normals.append(normalize(f))
+                except NotInFragment:
+                    pass
+        assert len({id(n) for n in normals}) == \
+            len(set(map(print_formula, normals))) == 842
+
     @given(formulas)
     @settings(max_examples=120)
     def test_idempotent_on_the_fragment(self, f):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -67,6 +69,15 @@ class TestEnumerateFormulas:
             enumerate_formulas([P, Q, L("r")], 6)
         # a raised cap admits what the default refuses
         assert enumerate_formulas([P], 2, max_count=10**9)
+
+    def test_refuses_a_huge_bound_at_once(self):
+        # The count stops at the first level past the cap, so the total up
+        # to 10**6 connectives, which has too many digits to print, is never
+        # worked out.
+        start = time.perf_counter()
+        with pytest.raises(BoundsTooLarge, match=r"^more than 2000000 "):
+            enumerate_formulas([P], 10**6)
+        assert time.perf_counter() - start < 1
 
     def test_count_formula_matches_enumeration(self):
         for atoms, c in [([P], 2), ([P, Q], 2), ([P, Q], 3)]:
