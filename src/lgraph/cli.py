@@ -159,20 +159,16 @@ def _cmd_equiv(args) -> int:
 def _cmd_iso(args) -> int:
     g1 = _read_graph_file(args.first)
     g2 = _read_graph_file(args.second)
-    if args.count or args.all:  # streamed: no list of every map
-        count = 0
-        for m in iso._isomorphisms(g1, g2):
-            count += 1
-            if args.all:
-                print(_format_map(m))
-        if args.count:
-            print(count)
-        return 0 if count else 1
-    m = iso.alpha_equiv(g1, g2)
-    if m is None:
-        return 1
-    print(_format_map(m))
-    return 0
+    count = 0
+    for m in iso._isomorphisms(g1, g2):  # streamed: no list of every map
+        count += 1
+        if not args.count:
+            print(_format_map(m))
+            if not args.all:  # the first map only
+                break
+    if args.count:
+        print(count)
+    return 0 if count else 1
 
 
 def _cmd_check(args) -> int:
@@ -243,8 +239,7 @@ def run(argv: list[str]) -> int:
             print(mill.canonical_key(g))
             return 0
         if args.command == "normalize":
-            print(mill.print_formula(mill.normalize(
-                _read_formula_arg(args.formula))))
+            print(mill._key_text(_read_formula_arg(args.formula)))
             return 0
         if args.command == "equiv":
             return _cmd_equiv(args)

@@ -16,10 +16,11 @@ the formula, collapsing the commutativity/associativity/currying symmetries.
 Outside the fragment, ``normalize`` raises NotInFragment.  While
 ``lg enumerate --classes`` runs, and only then, a memo of classes lets
 ``normalize`` take a compound's class from its operands' classes and hand
-back one formula per class.  Parsing, printing, translation and the
-canonical walk run on explicit stacks.  The parser reads the tokens of one
-regex scan, and text is built from pieces joined once; ``_SYNTAX`` sets
-parentheses.
+back one formula per class.  Translation and the composed peel tree fold
+one pre-order of the formula's compounds, the only check that a formula is
+one.  That walk, the parser, the printer and the canonical walk run on
+explicit stacks.  The parser reads the tokens of one regex scan, and text
+is built from pieces joined once; ``_SYNTAX`` sets parentheses.
 """
 
 from __future__ import annotations
@@ -251,32 +252,14 @@ def _vertex_names(n: int) -> list[VertexId]:
     return _NAMES
 
 
-def to_graph(f: Formula) -> RawGraph:
-    """Translate structurally; always acyclic, but may fail validation.
-
-    The result is the fold of ``algebra.add`` over tensors and
-    ``algebra.implies`` over implications, with ``empty()`` for 1 and
-    ``singleton(a)`` for an atom, so it is a LogicalGraph exactly when f
-    has no implication.  Its vertices are named v0..v{n-1} by the rule that
-    fold follows: ``add(h, k)``, with a = |h|, b = |k|, m = min(a, b) and
-    M = max(a, b), keeps k's names and h's names v_m..v_{a-1}, and sends
-    h's v_i, i < m, to v_{M+r}, where r is the rank of "v{i}" among
-    "v0".."v{m-1}" in string order (so v10 ranks before v2).
-
-    Two passes compute that naming directly: a right-first pre-order of
-    the compound subformulas, then a fold over it backwards, children
-    first, which reads atom and unit operands in place.  Each subresult is
-    its slot list (slot i holds the vertex named v_i) and its conclusion
-    list; a merge reuses the larger slot list and moves only min(a, b)
-    entries, and edges are recorded once between vertex numbers.  The
-    graph is built once, at the end.
-    """
+def _compounds(f: Formula) -> list:
+    """The tensors and implications of f in right-first pre-order, on an
+    explicit stack; anything else where a formula belongs is a TypeError,
+    a node's left operand checked before its right one."""
     kind = type(f)
-    if kind is Unit:
-        return algebra.empty()
-    if kind is Atom:
-        return algebra.singleton(f.label)
     if kind is not Tensor and kind is not Lolli:
+        if kind is Atom or kind is Unit:
+            return []
         raise TypeError(f"not a formula: {f!r}")
     nodes: list = []
     todo: list = [f]
@@ -294,6 +277,32 @@ def to_graph(f: Formula) -> RawGraph:
             todo.append(right)
         elif kind is not Atom and kind is not Unit:
             raise TypeError(f"not a formula: {right!r}")
+    return nodes
+
+
+def to_graph(f: Formula) -> RawGraph:
+    """Translate structurally; always acyclic, but may fail validation.
+
+    The result is the fold of ``algebra.add`` over tensors and
+    ``algebra.implies`` over implications, with ``empty()`` for 1 and
+    ``singleton(a)`` for an atom, so it is a LogicalGraph exactly when f
+    has no implication.  Its vertices are named v0..v{n-1} by the rule that
+    fold follows: ``add(h, k)``, with a = |h|, b = |k|, m = min(a, b) and
+    M = max(a, b), keeps k's names and h's names v_m..v_{a-1}, and sends
+    h's v_i, i < m, to v_{M+r}, where r is the rank of "v{i}" among
+    "v0".."v{m-1}" in string order (so v10 ranks before v2).
+
+    A fold over ``_compounds(f)`` backwards, children first, computes that
+    naming directly, reading atom and unit operands in place.  Each
+    subresult is its slot list (slot i holds the vertex named v_i) and its
+    conclusion list; a merge reuses the larger slot list and moves only
+    min(a, b) entries, and edges are recorded once between vertex numbers.
+    The graph is built once, at the end.
+    """
+    nodes = _compounds(f)
+    if not nodes:
+        return (algebra.empty() if type(f) is Unit
+                else algebra.singleton(f.label))
     labels: list[LabelId] = []
     edges: list[tuple[int, int]] = []
     has_lolli = False
@@ -506,44 +515,34 @@ def _imply(a: list, b: list) -> list | None:
     return b or a
 
 
+def _level(x, levels: list) -> list:
+    """The level of an atom or 1 read in place, else the next on levels."""
+    kind = type(x)
+    if kind is Atom:
+        return [([x.label], [])]
+    return [] if kind is Unit else levels.pop()
+
+
 def _formula_tree(f: Formula) -> PeelTree | None:
     """The peel tree of ``to_graph(f)`` read off f, with label lists for
-    cliques; None outside the fragment or on a non-formula.
-
-    Two passes over explicit stacks, so any depth is walked: a right-first
-    pre-order of f, then a fold over it backwards, operands before the step
-    that joins them.  No step waits among the operands, so no operand can be
-    taken for one.
-    """
-    nodes: list = []
-    todo: list = [f]
-    while todo:
-        x = todo.pop()
-        kind = type(x)
-        if kind is Tensor or kind is Lolli:
-            todo += (x.left, x.right)  # the right one taken first
-        elif kind is not Atom and kind is not Unit:
-            return None
-        nodes.append(x)
+    cliques; None outside the fragment.  The fold of ``_union`` over tensors
+    and ``_imply`` over implications, over ``_compounds(f)`` backwards, with
+    atom and unit operands read in place as ``to_graph`` reads them."""
     levels: list = []
-    for x in reversed(nodes):
-        kind = type(x)
-        if kind is Atom:
-            levels.append([([x.label], [])])
-        elif kind is Unit:
-            levels.append([])
-        else:
-            level = (_union if kind is Tensor else _imply)(levels.pop(-2),
-                                                           levels.pop())
-            if level is None:
-                return None
-            levels.append(level)
-    return levels[0]
+    for x in reversed(_compounds(f)):
+        right = _level(x.right, levels)  # its level was pushed last
+        level = (_union if type(x) is Tensor else _imply)(
+            _level(x.left, levels), right)
+        if level is None:
+            return None
+        levels.append(level)
+    return _level(f, levels)
 
 
 def _key_text(f: Formula) -> str:
     """f's canonical key, read off the peel tree composed from f; outside
-    the fragment f is translated and NotInFragment carries the graph."""
+    the fragment f is translated and NotInFragment carries the graph.  The
+    key is already ``print_formula`` of its own parse."""
     tree = _formula_tree(f)
     if tree is None:
         g = to_graph(f)

@@ -57,13 +57,14 @@ def naive_iso(g1: RawGraph, g2: RawGraph) -> list[VMap]:
 
 def _per_level(n_atoms: int, max_connectives: int):
     """How many formulas have exactly c connectives, for c = 0 and then
-    each c up to max_connectives."""
-    per_count = [1 + n_atoms]
-    yield per_count[0]
+    each c up to max_connectives: 2^c connectives, Catalan(c) shapes and
+    (n_atoms + 1)^(c + 1) leaves, so each level is the last one times
+    4(n_atoms + 1)(2c - 1), divided exactly by c + 1."""
+    leaves = level = n_atoms + 1
+    yield level
     for c in range(1, max_connectives + 1):
-        per_count.append(2 * sum(per_count[i] * per_count[c - 1 - i]
-                                 for i in range(c)))
-        yield per_count[c]
+        level = level * (4 * leaves * (2 * c - 1)) // (c + 1)
+        yield level
 
 
 def count_formulas(n_atoms: int, max_connectives: int) -> int:

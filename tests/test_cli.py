@@ -150,6 +150,17 @@ class TestGraphCommands:
         assert (code, out) == (2, "")
         assert err == "error:schema: invalid graph file: bad edge ['', 'a']\n"
 
+    @pytest.mark.parametrize("command", ["check", "iso"])
+    def test_edge_to_an_unknown_vertex_is_its_own_error(self, capsys,
+                                                        tmp_path, command):
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices":{"a":"p"},"edges":[["a","b"]]}',
+                        encoding="utf-8")
+        paths = [str(path)] * (2 if command == "iso" else 1)
+        code, out, err = invoke(capsys, command, *paths)
+        assert (code, out) == (2, "")
+        assert err == "error:unknown-vertex: unknown vertex: V('b')\n"
+
     def test_nesting_too_deep_to_read_is_a_schema_error(self, capsys,
                                                         tmp_path):
         path = tmp_path / "deep.json"
@@ -218,6 +229,12 @@ class TestEquivAndIso:
         b = write_graph(tmp_path, "b.graph", G("x:p y:q", "y>x"))
         code, out, _ = invoke(capsys, "iso", a, b, "--count")
         assert (code, out) == (1, "0\n")
+
+    def test_iso_failure_without_flags_prints_nothing(self, capsys,
+                                                      tmp_path):
+        a = write_graph(tmp_path, "a.graph", G("x:p y:q", "x>y"))
+        b = write_graph(tmp_path, "b.graph", G("x:p y:q", "y>x"))
+        assert invoke(capsys, "iso", a, b) == (1, "", "")
 
     def test_iso_count_streams_the_maps(self, capsys, tmp_path):
         # 8! maps: kept in a list they would take about 15 MB.

@@ -455,6 +455,8 @@ class TestNormalize:
         Lolli(Atom(P), Tensor(Atom(P), mill._imply)),
         Lolli(mill._imply, Atom(Q)),
         Tensor(Atom(P), Lolli(Atom(Q), mill._union)),
+        Tensor(mill._union, mill._imply),
+        "p",
     ])
     def test_the_tree_walks_steps_are_not_formulas(self, f):
         # _union and _imply are the steps of the walk that composes the peel
@@ -464,6 +466,17 @@ class TestNormalize:
         with pytest.raises(TypeError) as got:
             normalize(f)
         assert str(got.value) == str(want.value)
+
+    def test_the_walk_names_a_left_operand_before_a_right_one(self):
+        # Each node's operands are checked when the node is reached, the
+        # left one first, and the right subtree is walked first.
+        for f, bad in [(Tensor(mill._union, mill._imply), mill._union),
+                       (Lolli(Tensor(Atom(P), "x"), Lolli("y", Atom(Q))),
+                        "y")]:
+            for translate in (to_graph, normalize):
+                with pytest.raises(TypeError) as got:
+                    translate(f)
+                assert str(got.value) == f"not a formula: {bad!r}"
 
     @pytest.mark.parametrize("atoms", [[P, Q], [P, Q, R]])
     def test_sharing_classes_changes_no_result(self, atoms):

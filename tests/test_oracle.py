@@ -9,7 +9,7 @@ from lgraph import (Atom, BoundsTooLarge, Lolli, NotInFragment, Tensor, Unit,
                     parse, print_formula, rewrite_variants, to_graph,
                     validate)
 from lgraph.core import Error
-from lgraph.oracle import count_formulas
+from lgraph.oracle import _per_level, count_formulas
 from strategies import dag_graphs, formulas
 from util import G, L, V
 
@@ -78,6 +78,24 @@ class TestEnumerateFormulas:
         with pytest.raises(BoundsTooLarge, match=r"^more than 2000000 "):
             enumerate_formulas([P], 10**6)
         assert time.perf_counter() - start < 1
+
+    def test_refuses_a_cap_of_thousands_of_digits_at_once(self):
+        # Each level's count is one small multiply and divide of the last,
+        # so even a cap that a 3,327-connective level first passes is met
+        # in a few thousand cheap steps.
+        start = time.perf_counter()
+        with pytest.raises(BoundsTooLarge):
+            enumerate_formulas([P], 10**5, max_count=int("9" * 4000))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n_atoms", range(5))
+    def test_level_counts_match_the_convolution(self, n_atoms):
+        # A formula with c connectives is a Tensor or a Lolli over a split
+        # i + (c - 1 - i) of the rest; one with none is 1 or an atom.
+        want = [n_atoms + 1]
+        for c in range(1, 41):
+            want.append(2 * sum(want[i] * want[c - 1 - i] for i in range(c)))
+        assert list(_per_level(n_atoms, 40)) == want
 
     def test_count_formula_matches_enumeration(self):
         for atoms, c in [([P], 2), ([P, Q], 2), ([P, Q], 3)]:
