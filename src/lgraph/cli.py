@@ -191,6 +191,8 @@ def _cmd_enumerate(args) -> int:
                      "(a letter, then letters, digits or _)")
     if args.max_connectives < 0:
         return _fail("usage", "--max-connectives must not be negative")
+    if args.max_count < 0:
+        return _fail("usage", "--max-count must not be negative")
     formulas = oracle.enumerate_formulas(list(map(core.LabelId, names)),
                                          args.max_connectives,
                                          max_count=args.max_count)

@@ -16,17 +16,20 @@ passes when the edge's image is an edge.  A choice maps a new vertex to an
 unused vertex of its pool, the start pool or the predecessors of the image
 of the vertex it points to.  A pool of one vertex is forced: taken or
 failed, with no bucket.  Every other pool is split into buckets by a key,
-kept in ascending order and skipping a prefix of used vertices, so a
-fan-in of k costs O(k).  The key is the label in ``mk_graph_iso`` and
-``vertex_match_perms``, which list embeddings.  ``alpha_equiv`` and
-``alpha_equiv_all`` key by colour, the vertex's (label, in-degree,
-out-degree): an isomorphism keeps colours, so this prunes only branches
-that hold none, and every map it completes is an isomorphism.  Graphs
-whose colour counts differ are rejected before any search.
+kept in ascending order and skipping a prefix of used vertices, so a fan-in
+of k costs O(k).  The trailing run, the last choices with one pool and one
+key, meets no check: it yields the permutations of its bucket's unused
+vertices, not a pass of the loop per map.  The key is the label in
+``mk_graph_iso`` and ``vertex_match_perms``, which list embeddings.
+``alpha_equiv`` and ``alpha_equiv_all`` key by colour, the vertex's (label,
+in-degree, out-degree): an isomorphism keeps colours, so this prunes only
+branches that hold none, and every map it completes is an isomorphism.
+Graphs whose colour counts differ are rejected before any search.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from .core import CyclicEdges, RawGraph, UnknownVertex, VertexId, _find_cycle
@@ -73,9 +76,10 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
     left.  Depth d keeps three entries: cells[d], the bucket cell it chose
     from (None for a check step, which passes at most once, and forced for
     a forced step); firsts[d], the cell's first when d was entered; and
-    nexts[d], where d's next choice starts.  A last depth that chooses
-    from a bucket yields each of its choices in place.  A yielded map is
-    only valid until the generator is resumed.
+    nexts[d], where d's next choice starts.  The trailing run, the longest
+    suffix of new choices with one x and one key, yields on a bucket each
+    permutation of the cell's unused candidates, in place.  A yielded map
+    is only valid until the generator is resumed.
     """
     used = set(m.values())
     preds2, edges2 = g2._preds, g2.edges
@@ -86,8 +90,17 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
     # O(k), not O(k^2).
     buckets: dict[VertexId | None, dict] = {}
     forced: list = []  # the cell of every forced step
-    n = len(steps)
-    last = n - 1
+    n = r = len(steps)
+    if n and steps[-1][2]:  # the trailing run: steps[r:], vertices run
+        u, x, _ = steps[-1]
+        k, run, r = key1[u], [u], n - 1
+        while r:  # one x is one visit of the plan, or the start pool
+            u, y, new = steps[r - 1]
+            if not new or y is not x or key1[u] != k:
+                break
+            run.append(u)
+            r -= 1
+        run.reverse()
     cells: list[list | None] = [None] * n
     firsts, nexts = [0] * n, [0] * n
     # up: enter depth d; else depth d has no choice left, so undo the
@@ -126,6 +139,15 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
             if cell is None:
                 up = False
                 continue
+            if d == r:  # the run: each permutation, yielded in place
+                avail = [c for c in cell[1][cell[0]:] if c not in used]
+                for images in permutations(avail, len(run)):
+                    m.update(zip(run, images))
+                    yield m
+                for v in run:
+                    m.pop(v, None)
+                up = False
+                continue
             i = firsts[d] = cell[0]
         else:
             d -= 1
@@ -144,12 +166,8 @@ def _extensions(g2: RawGraph, steps: list[Step], m: VMap, key1, key2,
         for i in range(i, len(candidates)):
             c = candidates[i]
             if c not in used:
-                if d != last:
-                    break
-                m[u] = c  # the last depth yields each choice in place
-                yield m
+                break
         else:
-            m.pop(u, None)  # mapped only by the last depth's final choice
             up = False
             continue
         m[u] = c

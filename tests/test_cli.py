@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgraph import mill
-from lgraph import (LabelId, NotInFragment, enumerate_formulas, from_json,
-                    normalize, print_formula, to_json)
-from lgraph.cli import run
+from lgraph import (LabelId, NotInFragment, alpha_equiv_all,
+                    enumerate_formulas, from_json, normalize, print_formula,
+                    to_json)
+from lgraph.cli import _format_map, run
 from util import G
 
 
@@ -251,6 +252,22 @@ class TestEquivAndIso:
         assert (code, out) == (0, "40320\n")
         assert peak < 2_000_000
 
+    def test_iso_lists_a_star_in_the_order_of_alpha_equiv_all(self, capsys,
+                                                                tmp_path):
+        leaves = [f"l{i}" for i in range(7)]
+        star = G(" ".join(f"{v}:p" for v in leaves) + " z:q",
+                 " ".join(f"{v}>z" for v in leaves))
+        copy = G(" ".join(f"m{v}:p" for v in leaves) + " a:q",
+                 " ".join(f"m{v}>a" for v in leaves))
+        a = write_graph(tmp_path, "star.json", star)
+        b = write_graph(tmp_path, "copy.json", copy)
+        assert invoke(capsys, "iso", a, b, "--count") == (0, "5040\n", "")
+        code, out, err = invoke(capsys, "iso", a, b, "--all")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 5040
+        assert lines == [_format_map(m) for m in alpha_equiv_all(star, copy)]
+
     def test_iso_on_a_cycle_is_an_error(self, capsys, tmp_path):
         c = write_graph(tmp_path, "c.json", G("u:p w:p z:q", "u>w w>u w>z"))
         code, out, err = invoke(capsys, "iso", c, c)
@@ -456,6 +473,15 @@ class TestDotAndEnumerate:
                                 "--max-connectives", "-3")
         assert (code, out) == (2, "")
         assert err.startswith("error:usage:") and err.count("\n") == 1
+
+    def test_enumerate_rejects_a_negative_cap(self, capsys):
+        assert invoke(capsys, "enumerate", "--atoms", "p",
+                      "--max-connectives", "1", "--max-count", "-1") == \
+            (2, "", "error:usage: --max-count must not be negative\n")
+        code, out, err = invoke(capsys, "enumerate", "--atoms", "p",
+                                "--max-connectives", "1", "--max-count", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:bounds-too-large: more than 0 formulas")
 
     def test_enumerate_atom_names_round_trip(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "--atoms", " p_1 , Q2,r ",

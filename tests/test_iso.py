@@ -345,6 +345,74 @@ def test_star_maps_come_in_permutation_order():
         for images in itertools.permutations(rest)]
 
 
+class TestTrailingRun:
+    """The last choices from one pool with one key meet no check, so the
+    search lists them as permutations: checked against orders built from
+    itertools and against the list-based search."""
+
+    POOL = [V(f"w{i}") for i in range(5)]
+
+    @staticmethod
+    def graphs(members, pool):
+        return (G(" ".join(f"{v}:p" for v in members)),
+                G(" ".join(f"{v}:p" for v in pool)))
+
+    def test_members_into_a_larger_pool(self):
+        members = [V("a"), V("b"), V("c")]
+        g1, g2 = self.graphs(members, self.POOL)
+        got = vertex_match_perms(g1, members, g2, self.POOL, {})
+        assert len(got) == 60
+        assert got == [dict(zip(members, images))
+                       for images in itertools.permutations(self.POOL, 3)]
+
+    def test_more_members_than_pool_vertices(self):
+        members = [V(name) for name in "abcd"]
+        g1, g2 = self.graphs(members, self.POOL[:3])
+        assert vertex_match_perms(g1, members, g2, self.POOL[:3], {}) == []
+
+    def test_a_vertex_the_seed_takes_is_skipped(self):
+        members = [V("a"), V("b")]
+        g1, g2 = self.graphs([*members, V("c")], self.POOL)
+        seed = {V("c"): self.POOL[2]}
+        free = [w for w in self.POOL if w != self.POOL[2]]
+        assert vertex_match_perms(g1, members, g2, self.POOL, seed) == [
+            {**seed, **dict(zip(members, images))}
+            for images in itertools.permutations(free, 2)]
+
+    def test_only_the_same_label_suffix_is_a_run(self):
+        # Name order a, b, c, d with labels q, p, p, p: the run is b, c, d.
+        g1 = G("a:q b:p c:p d:p")
+        g2 = G("w0:p w1:q w2:p w3:p w4:p w5:q")
+        members, pool = list(g1.vertices()), list(g2.vertices())
+        got = vertex_match_perms(g1, members, g2, pool, {})
+        assert len(got) == 2 * 4 * 3 * 2
+        assert got == refimpl.ref_vertex_match_perms(g1, members, g2, pool,
+                                                     {})
+
+    @pytest.mark.parametrize("leaves", [1, 2, 7])
+    def test_star_and_a_renamed_copy(self, leaves):
+        star, z = _star(leaves, same_label=True), V("z")
+        tips = [V(f"t{i:05d}") for i in range(leaves)]
+        images = [V(f"s{i}") for i in range(leaves)]
+        copy = RawGraph({**{v: L("p") for v in images}, V("a"): L("z")},
+                        [(v, V("a")) for v in reversed(images)])
+        assert alpha_equiv_all(star, copy) == [
+            {z: V("a"), **dict(zip(tips, perm))}
+            for perm in itertools.permutations(images)]
+
+    def test_nested_stars_alternate_the_run_and_the_loop(self):
+        # z has three p leaves, each with two p premises: the loop chooses
+        # the leaves and the first leaves' premises, the run the last two.
+        leaves = [f"l{i}" for i in range(3)]
+        premises = [f"{v}{side}" for v in leaves for side in "ab"]
+        g = G(" ".join(f"{v}:p" for v in [*leaves, *premises]) + " z:q",
+              " ".join(f"{v}>z" for v in leaves)
+              + " " + " ".join(f"{v}>{v[:2]}" for v in premises))
+        got = alpha_equiv_all(g, g)
+        assert len(got) == 6 * 2 ** 3
+        assert got == refimpl.ref_alpha_equiv_all(g, g)
+
+
 def _layered(levels):
     """((a0 * b0) -o (a1 * b1)) -o ...: each pair implies the next pair, so
     the number of paths doubles with each level."""
