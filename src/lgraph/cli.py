@@ -238,7 +238,7 @@ def run(argv: list[str]) -> int:
             return 0
         if args.command == "to-formula":
             g = core.validate(_read_graph_file(args.graph))
-            print(mill.canonical_key(g))
+            print(mill._formula_key(g))
             return 0
         if args.command == "normalize":
             print(mill._key_text(_read_formula_arg(args.formula)))

@@ -298,15 +298,14 @@ def _peel(g: RawGraph) -> PeelTree:
     """Decompose an acyclic graph into nested conclusion cliques.
 
     Equivalent to the recursive definition -- group the conclusions by
-    their direct-predecessor sets, check each predecessor's out-edges hit
-    exactly its clique, then recurse on each clique's predecessor closure --
-    but runs in one linear pass.  Instead of materialising each nested
-    subgraph, vertices are peeled off bottom-up: removing a clique makes
-    its predecessor set the conclusion set of the nested subgraph, so the
-    recursion can be driven entirely by the out-degree bookkeeping.  Any
-    overlap between sibling parts surfaces as a failed out-edge check on
-    some descendant level, so the expensive disjointness test on
-    materialised closures is never needed.
+    their direct-predecessor sets, peel each clique and check that every
+    successor of every predecessor in its key is peeled, then recurse on
+    each clique's predecessor closure -- but runs in one linear pass:
+    vertices are peeled off bottom-up, as removing a clique makes its
+    predecessor set the conclusion set of the nested subgraph, so no nested
+    subgraph is materialised.  Any overlap between sibling parts surfaces
+    as a failed check on some descendant level, so the disjointness test
+    on materialised closures is never needed.
 
     Conclusions group by their predecessor lists, ascending from ``_wire``,
     so a key is already its nested level's conclusion list; a level with
@@ -323,8 +322,7 @@ def _peel(g: RawGraph) -> PeelTree:
     stack: list[tuple[VSet | list[VertexId], PeelTree]] = [(top, root)]
     while stack:
         concl, node = stack.pop()
-        # One clique: peeling it first leaves the same check.  A run of
-        # them, as in a chain, stays here: a pushed one would be popped next.
+        # One-clique levels, as in a chain, loop here without the stack.
         while len(concl) == 1:
             c = concl[0]
             key = preds[c]
@@ -341,17 +339,14 @@ def _peel(g: RawGraph) -> PeelTree:
         groups: dict[VSet, list[VertexId]] = {}
         for c in concl:  # ascending, so each clique collects ascending
             groups.setdefault(tuple(preds[c]), []).append(c)
-        # Check every clique of this level before peeling any of them:
-        # a predecessor must point at its whole clique and nothing else.
+        # No check here passes only for t in an earlier clique A: then w is
+        # in A's key and implies this clique, unpeeled then, so A failed.
         for key, clique in groups.items():
-            cset = set(clique)
+            peeled.update(clique)
             for w in key:
                 for t in succs[w]:
-                    if t not in cset and t not in peeled:
+                    if t not in peeled:
                         raise _overreach(w, t, clique)
-        for clique in groups.values():
-            peeled.update(clique)
-        for key, clique in groups.items():
             child: PeelTree = []
             node.append((tuple(clique), child))
             if key:

@@ -477,17 +477,30 @@ def canonical_key(g: LogicalGraph) -> str:
 
     Composed from pieces: one join per clique, one per level of two or
     more parts, whose sort needs their text, and one for the whole key.
-    No ``Decomposition`` is built.
+    No ``Decomposition`` is built.  Precondition, unchecked here: every
+    label is an atom name, ``[A-Za-z][A-Za-z0-9_]*``; a graph with another
+    label has no formula, and its key can coincide with another graph's.
     """
     return _canonicalize(peel_tree(g), g.labelling.__getitem__)
+
+
+def _formula_key(g: LogicalGraph) -> str:
+    """``canonical_key(g)``; Error at g's least label not an atom name."""
+    bad = min((x for x in set(g.labelling.values())
+               if not re.fullmatch(_ATOM_NAME, x)), default=None)
+    if bad is not None:
+        raise Error(f"label {bad.name!r} is not an atom name "
+                    "(a letter, then letters, digits or _)")
+    return canonical_key(g)
 
 
 def to_formula(g: LogicalGraph) -> Formula:
     """The canonical formula of a validated graph: its canonical key, parsed.
 
-    Output depends only on the alpha-equivalence class of the graph.
+    Output depends only on the graph's alpha-equivalence class.  A label
+    outside ``[A-Za-z][A-Za-z0-9_]*`` has no formula: Error names the least.
     """
-    return parse(canonical_key(g))
+    return parse(_formula_key(g))
 
 
 def _union(a: list, b: list) -> list:

@@ -108,6 +108,23 @@ class TestGraphCommands:
         assert (code, code2) == (0, 0)
         assert via_graph == direct
 
+    @pytest.mark.parametrize("label", ["1", "p * q", "p q"])
+    def test_to_formula_refuses_a_label_that_is_not_an_atom_name(
+            self, capsys, tmp_path, label):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": {"v": label}, "edges": []}),
+                        encoding="utf-8")
+        code, out, err = invoke(capsys, "to-formula", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error:schema: label {label!r} is not an atom name "
+                       "(a letter, then letters, digits or _)\n")
+
+    def test_to_formula_reads_an_atom_name_with_digits_and_underscore(
+            self, capsys, tmp_path):
+        path = write_graph(tmp_path, "g.json", G("a:Foo_9 b:q", "a>b"))
+        code, out, err = invoke(capsys, "to-formula", path)
+        assert (code, out, err) == (0, "Foo_9 -o q\n", "")
+
     def test_check_ok(self, capsys, tmp_path):
         path = write_graph(tmp_path, "ok.graph", CHAIN)
         assert invoke(capsys, "check", path) == (0, "ok\n", "")

@@ -167,6 +167,17 @@ class TestValidate:
             validate(g)
         assert exc.value.witness == (V("r"), V("y"))
 
+    def test_not_well_formed_witness_between_cliques_of_one_level(self):
+        # One level holds the cliques {a}, {b} and {x}; u overreaches from
+        # {a} and v from {b}, both into x.  The clique of least conclusion
+        # is checked first.
+        g = G("u:p v:p a:p b:p x:p", "u>a u>x v>b v>x")
+        with pytest.raises(NotWellFormed) as exc:
+            validate(g)
+        assert exc.value.witness == (V("u"), V("x"))
+        assert str(exc.value) == \
+            "vertex u implies x but also the conclusion set {a}"
+
     def test_peel_parts_partition_vertices(self):
         g = validate(G(*EXAMPLE_A))
         seen = []

@@ -384,6 +384,24 @@ class TestToFormula:
     def test_empty_reads_as_unit(self):
         assert to_formula(empty()) == Unit()
 
+    @pytest.mark.parametrize("label", ["1", "p * q", "p q"])
+    def test_a_label_that_is_not_an_atom_name_has_no_formula(self, label):
+        g = validate(RawGraph({V("v"): L(label)}))
+        with pytest.raises(Error) as exc:
+            to_formula(g)
+        assert type(exc.value) is Error
+        assert str(exc.value) == (f"label {label!r} is not an atom name "
+                                  "(a letter, then letters, digits or _)")
+
+    def test_the_least_label_that_is_not_an_atom_name_is_named(self):
+        g = LG("a:p_q b:p%q c:zz d:1", "a>b c>d")
+        with pytest.raises(Error, match="^label '1' is not an atom name"):
+            to_formula(g)
+
+    def test_an_atom_name_with_digits_and_underscore_reads_back(self):
+        g = LG("a:Foo_9 b:q", "a>b")
+        assert to_formula(g) == Lolli(Atom(L("Foo_9")), Atom(Q))
+
 
 class TestNormalize:
     def test_interderivable_variants_share_one_form(self):
