@@ -5,12 +5,15 @@ boundary as JSON files in the canonical format.  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 for success or a true answer, 1 for a
 well-formed "no" (not equivalent, not isomorphic, graph rejected by check),
 2 for errors, each reported as one line ``error:<kind>: detail``.
+
+``_COMMANDS`` is the one list of commands: each row's name, help, arguments
+and handler both build the parser and dispatch.  ``_ERROR_KINDS`` is the one
+list of error kinds, read by ``run`` and by ``lg check``.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from functools import cache
 
@@ -20,7 +23,7 @@ from .mill import NotInFragment, ParseError
 from .oracle import BoundsTooLarge
 
 
-class _UsageError(Exception):
+class _UsageError(core.Error):
     pass
 
 
@@ -29,9 +32,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fail(kind: str, message: str) -> int:
-    print(f"error:{kind}: {message}", file=sys.stderr)
-    return 2
+# Each error's kind, the first row whose class it is an instance of: the
+# subclasses come before core.Error, their base.
+_ERROR_KINDS = [
+    (ParseError, "syntax"),
+    (NotInFragment, "not-in-fragment"),
+    (UnknownVertex, "unknown-vertex"),
+    (CyclicEdges, "cyclic"),
+    (NotWellFormed, "not-well-formed"),
+    (NotASubgraphByName, "not-a-subgraph"),
+    (BoundsTooLarge, "bounds-too-large"),
+    (_UsageError, "usage"),
+    (core.Error, "schema"),
+]
+
+
+def _kind(exc: core.Error) -> str:
+    return next(kind for cls, kind in _ERROR_KINDS if isinstance(exc, cls))
 
 
 def _read_text(path: str) -> str:
@@ -43,8 +60,13 @@ def _read_text(path: str) -> str:
             raise OSError(f"{path}: {exc}") from None
 
 
+def _arg_text(arg: str) -> str:
+    """The argument itself or, after @, the text of the file it names."""
+    return _read_text(arg[1:]) if arg.startswith("@") else arg
+
+
 def _read_formula_arg(arg: str) -> mill.Formula:
-    return mill.parse(_read_text(arg[1:]) if arg.startswith("@") else arg)
+    return mill.parse(_arg_text(arg))
 
 
 def _read_graph_file(path: str) -> core.RawGraph:
@@ -53,12 +75,10 @@ def _read_graph_file(path: str) -> core.RawGraph:
 
 def _read_operand(arg: str) -> core.RawGraph:
     """A formula (inline) or, after @, a file holding a graph or a formula."""
-    if arg.startswith("@"):
-        text = _read_text(arg[1:])
-        if text.lstrip().startswith("{"):
-            return core.from_json(text)
-        return mill.to_graph(mill.parse(text))
-    return mill.to_graph(mill.parse(arg))
+    text = _arg_text(arg)
+    if arg.startswith("@") and text.lstrip().startswith("{"):
+        return core.from_json(text)
+    return mill.to_graph(mill.parse(text))
 
 
 def _emit_graph(g: core.RawGraph, out: str | None) -> None:
@@ -74,7 +94,8 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot(g: core.RawGraph) -> str:
+def _cmd_dot(args) -> None:
+    g = _read_graph_file(args.graph)
     lines = ["digraph {"]
     for v in g.vertices():
         lines.append(f"  {_dot_quote(v.name)} [label="
@@ -82,7 +103,7 @@ def _dot(g: core.RawGraph) -> str:
     for s, d in g._sorted_edges:
         lines.append(f"  {_dot_quote(s.name)} -> {_dot_quote(d.name)};")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _format_map(m: iso.VMap) -> str:
@@ -90,70 +111,12 @@ def _format_map(m: iso.VMap) -> str:
     return " ".join(f"{v.name}->{w.name}" for v, w in pairs)
 
 
-# Built once per process: building costs more than most commands take, and
-# parse_args leaves the parser as it was.
-@cache
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="lg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a formula and print it back")
-    p.add_argument("formula")
-
-    p = sub.add_parser("to-graph", help="translate a formula to a graph file")
-    p.add_argument("formula")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("to-formula", help="read a graph file back as a formula")
-    p.add_argument("graph")
-
-    p = sub.add_parser("normalize", help="canonicalise a formula")
-    p.add_argument("formula")
-
-    p = sub.add_parser("equiv", help="decide alpha-equivalence of two operands")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = sub.add_parser("iso", help="find isomorphisms between two graph files")
-    p.add_argument("first")
-    p.add_argument("second")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--count", action="store_true")
-    group.add_argument("--all", action="store_true")
-
-    p = sub.add_parser("check", help="validate a graph file")
-    p.add_argument("graph")
-
-    for name in ("add", "implies", "subtract"):
-        p = sub.add_parser(name, help=f"{name} two graph files")
-        p.add_argument("first")
-        p.add_argument("second")
-        p.add_argument("-o", "--output")
-
-    p = sub.add_parser("conclusions", help="print the minimal vertices")
-    p.add_argument("graph")
-
-    p = sub.add_parser("dot", help="emit graphviz dot for a graph file")
-    p.add_argument("graph")
-
-    p = sub.add_parser("enumerate", help="enumerate formulas over given atoms")
-    p.add_argument("--atoms", required=True,
-                   help="comma-separated atom names")
-    p.add_argument("--max-connectives", type=int, required=True)
-    p.add_argument("--classes", action="store_true",
-                   help="group by canonical form instead of listing")
-    p.add_argument("--max-count", type=int, default=2_000_000)
-    return parser
-
-
 def _cmd_equiv(args) -> int:
     g1 = _read_operand(args.first)
     g2 = _read_operand(args.second)
-    if iso.alpha_equiv(g1, g2) is not None:
-        print("equivalent")
-        return 0
-    print("not-equivalent")
-    return 1
+    equivalent = iso.alpha_equiv(g1, g2) is not None
+    print("equivalent" if equivalent else "not-equivalent")
+    return 0 if equivalent else 1
 
 
 def _cmd_iso(args) -> int:
@@ -171,35 +134,44 @@ def _cmd_iso(args) -> int:
     return 0 if count else 1
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> int | None:
     g = _read_graph_file(args.graph)
     try:
         core.validate(g)
     except (CyclicEdges, NotWellFormed) as exc:
-        kind = "cyclic" if isinstance(exc, CyclicEdges) else "not-well-formed"
-        print(f"{kind}: {exc}", file=sys.stderr)
+        print(f"{_kind(exc)}: {exc}", file=sys.stderr)
         return 1
     print("ok")
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_combine(args) -> None:
+    """add, implies or subtract: the algebra function of the command's name."""
+    result = getattr(algebra, args.command)(_read_graph_file(args.first),
+                                            _read_graph_file(args.second))
+    _emit_graph(getattr(result, "graph", result), args.output)
+
+
+def _cmd_conclusions(args) -> None:
+    for v in core.conclusions(_read_graph_file(args.graph)):
+        print(v.name)
+
+
+def _cmd_enumerate(args) -> None:
     names = [name.strip() for name in args.atoms.split(",") if name.strip()]
-    bad = [name for name in names if not re.fullmatch(mill._ATOM_NAME, name)]
+    bad = [name for name in names if not mill._is_atom_name(name)]
     if bad:  # a name the syntax would not read back as that atom
-        return _fail("usage", f"--atoms: {bad[0]!r} is not an atom name "
-                     "(a letter, then letters, digits or _)")
+        raise _UsageError(f"--atoms: {bad[0]!r} {mill._NOT_AN_ATOM_NAME}")
     if args.max_connectives < 0:
-        return _fail("usage", "--max-connectives must not be negative")
+        raise _UsageError("--max-connectives must not be negative")
     if args.max_count < 0:
-        return _fail("usage", "--max-count must not be negative")
+        raise _UsageError("--max-count must not be negative")
     formulas = oracle.enumerate_formulas(list(map(core.LabelId, names)),
                                          args.max_connectives,
                                          max_count=args.max_count)
     if not args.classes:
         for f in formulas:
             print(mill.print_formula(f))
-        return 0
+        return
     # The formulas are built from earlier ones, so the scope lets normalize
     # compose each class from its operands' classes, and it hands back one
     # formula per class: tally by identity and print each once.
@@ -219,81 +191,87 @@ def _cmd_enumerate(args) -> int:
     if skipped:
         print(f"skipped {skipped} formulas outside the fragment",
               file=sys.stderr)
-    return 0
+
+
+# An argument is a positional's name, a tuple of an option's flags and its
+# add_argument keywords, or a list of options that exclude each other.
+_OUTPUT = ("-o", "--output", {})
+_FLAG = {"action": "store_true"}
+_COMBINE = ["first", "second", _OUTPUT]
+_COMMANDS = [
+    ("parse", "parse a formula and print it back", ["formula"],
+     lambda args: print(mill.print_formula(_read_formula_arg(args.formula)))),
+    ("to-graph", "translate a formula to a graph file", ["formula", _OUTPUT],
+     lambda args: _emit_graph(mill.to_graph(_read_formula_arg(args.formula)),
+                              args.output)),
+    ("to-formula", "read a graph file back as a formula", ["graph"],
+     lambda args: print(mill._formula_key(
+         core.validate(_read_graph_file(args.graph))))),
+    ("normalize", "canonicalise a formula", ["formula"],
+     lambda args: print(mill._key_text(_read_formula_arg(args.formula)))),
+    ("equiv", "decide alpha-equivalence of two operands", ["first", "second"],
+     _cmd_equiv),
+    ("iso", "find isomorphisms between two graph files",
+     ["first", "second", [("--count", _FLAG), ("--all", _FLAG)]], _cmd_iso),
+    ("check", "validate a graph file", ["graph"], _cmd_check),
+    ("add", "add two graph files", _COMBINE, _cmd_combine),
+    ("implies", "implies two graph files", _COMBINE, _cmd_combine),
+    ("subtract", "subtract two graph files", _COMBINE, _cmd_combine),
+    ("conclusions", "print the minimal vertices", ["graph"],
+     _cmd_conclusions),
+    ("dot", "emit graphviz dot for a graph file", ["graph"], _cmd_dot),
+    ("enumerate", "enumerate formulas over given atoms",
+     [("--atoms", {"required": True, "help": "comma-separated atom names"}),
+      ("--max-connectives", {"type": int, "required": True}),
+      ("--classes", {**_FLAG,
+                     "help": "group by canonical form instead of listing"}),
+      ("--max-count", {"type": int, "default": 2_000_000})],
+     _cmd_enumerate),
+]
+
+
+def _add_arguments(parser, arguments) -> None:
+    for arg in arguments:
+        if isinstance(arg, str):
+            parser.add_argument(arg)
+        elif isinstance(arg, list):
+            _add_arguments(parser.add_mutually_exclusive_group(), arg)
+        else:
+            *flags, options = arg
+            parser.add_argument(*flags, **options)
+
+
+# Built once per process: building costs more than most commands take, and
+# parse_args leaves the parser as it was.
+@cache
+def _build_parser() -> _ArgumentParser:
+    # The help shows the contract, not the docstring's last note (none: -OO).
+    contract = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = _ArgumentParser(prog="lg", description=contract)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        _add_arguments(p, arguments)
+        p.set_defaults(handler=handler)
+    return parser
+
+
+def _fail(kind: str, message: str) -> int:
+    print(f"error:{kind}: {message}", file=sys.stderr)
+    return 2
 
 
 def run(argv: list[str]) -> int:
+    """Run the command argv names; its exit code (a handler's None is 0)."""
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        return _fail("usage", str(exc))
-
-    try:
-        if args.command == "parse":
-            print(mill.print_formula(_read_formula_arg(args.formula)))
-            return 0
-        if args.command == "to-graph":
-            _emit_graph(mill.to_graph(_read_formula_arg(args.formula)),
-                        args.output)
-            return 0
-        if args.command == "to-formula":
-            g = core.validate(_read_graph_file(args.graph))
-            print(mill._formula_key(g))
-            return 0
-        if args.command == "normalize":
-            print(mill._key_text(_read_formula_arg(args.formula)))
-            return 0
-        if args.command == "equiv":
-            return _cmd_equiv(args)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "add":
-            result = algebra.add(_read_graph_file(args.first),
-                                 _read_graph_file(args.second))
-            _emit_graph(result.graph, args.output)
-            return 0
-        if args.command == "implies":
-            result = algebra.implies(_read_graph_file(args.first),
-                                     _read_graph_file(args.second))
-            _emit_graph(result.graph, args.output)
-            return 0
-        if args.command == "subtract":
-            _emit_graph(algebra.subtract(_read_graph_file(args.first),
-                                         _read_graph_file(args.second)),
-                        args.output)
-            return 0
-        if args.command == "conclusions":
-            for v in core.conclusions(_read_graph_file(args.graph)):
-                print(v.name)
-            return 0
-        if args.command == "dot":
-            sys.stdout.write(_dot(_read_graph_file(args.graph)))
-            return 0
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-    except ParseError as exc:
-        return _fail("syntax", str(exc))
-    except NotInFragment as exc:
-        return _fail("not-in-fragment", str(exc))
-    except UnknownVertex as exc:
-        return _fail("unknown-vertex", str(exc))
-    except CyclicEdges as exc:
-        return _fail("cyclic", str(exc))
-    except NotWellFormed as exc:
-        return _fail("not-well-formed", str(exc))
-    except NotASubgraphByName as exc:
-        return _fail("not-a-subgraph", str(exc))
-    except BoundsTooLarge as exc:
-        return _fail("bounds-too-large", str(exc))
+        return args.handler(args) or 0
+    except core.Error as exc:
+        return _fail(_kind(exc), str(exc))
     except OSError as exc:
         return _fail("io", str(exc))
-    except core.Error as exc:
-        return _fail("schema", str(exc))
     except Exception as exc:  # last resort: still one line and exit code 2
         return _fail("internal", f"{type(exc).__name__}: {exc}")
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main() -> None:

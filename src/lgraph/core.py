@@ -539,14 +539,22 @@ def rename_apart(g: RawGraph, avoid: Iterable[VertexId]
     Returns the renamed graph and the total renaming map (identity entries
     included).  Fresh names are deterministic: smallest numeric suffix on
     the colliding name not already taken.  Structure is preserved, so the
-    result keeps the input's validation status.
+    result keeps the input's validation status.  Every name in avoid is a
+    VertexId: TypeError names the first that is not, in avoid's order.
     """
+    avoid = list(avoid)
+    if bad := [x for x in avoid if not isinstance(x, VertexId)]:
+        raise TypeError(f"rename_apart: {bad[0]!r} is not a VertexId")
     lab, edges, mapping = _renamed_apart(g, frozenset(avoid))
     return _graph(type(g), lab, edges), mapping
 
 
 def rename_graph(g: RawGraph, mapping: Mapping[VertexId, VertexId]) -> RawGraph:
-    """Apply a vertex renaming (identity where unmapped); must not merge."""
+    """Apply a vertex renaming (identity where unmapped); must not merge.
+    TypeError names the mapping's first key or value not a VertexId."""
+    if bad := [x for pair in mapping.items() for x in pair
+               if not isinstance(x, VertexId)]:
+        raise TypeError(f"rename_graph: {bad[0]!r} is not a VertexId")
     lab = {mapping.get(v, v): l for v, l in g.labelling.items()}
     if len(lab) != len(g.labelling):
         raise ValueError("renaming is not injective on the graph's vertices")

@@ -101,9 +101,12 @@ class NotInFragment(Error):
         self.cause = cause
 
 
+# The one rule for atom names: the parser's, to_formula's and lg enumerate's.
+_ATOM_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_is_atom_name = re.compile(_ATOM_NAME).fullmatch
+_NOT_AN_ATOM_NAME = "is not an atom name (a letter, then letters, digits or _)"
 # One token per match: an atom, a numeral, a connective, a parenthesis, or
 # any other character alone, which is a bad token.
-_ATOM_NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _TOKEN = re.compile(rf"\s*({_ATOM_NAME}|\d+|-o|[*()]|\S)")
 _IS_ATOM = re.compile(r"[A-Za-z]").match
 
@@ -487,10 +490,9 @@ def canonical_key(g: LogicalGraph) -> str:
 def _formula_key(g: LogicalGraph) -> str:
     """``canonical_key(g)``; Error at g's least label not an atom name."""
     bad = min((x for x in set(g.labelling.values())
-               if not re.fullmatch(_ATOM_NAME, x)), default=None)
+               if not _is_atom_name(x)), default=None)
     if bad is not None:
-        raise Error(f"label {bad.name!r} is not an atom name "
-                    "(a letter, then letters, digits or _)")
+        raise Error(f"label {bad.name!r} {_NOT_AN_ATOM_NAME}")
     return canonical_key(g)
 
 

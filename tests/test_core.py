@@ -508,6 +508,28 @@ class TestRenaming:
         with pytest.raises(ValueError):
             rename_graph(G("a:p b:p"), {V("a"): V("b")})
 
+    def test_rename_graph_refuses_a_new_name_that_is_not_a_vertex_id(self):
+        # A plain str vertex would be in the graph yet not found by V("x").
+        with pytest.raises(TypeError,
+                           match=r"^rename_graph: 'x' is not a VertexId$"):
+            rename_graph(G("a:p b:q", "a>b"), {V("a"): "x"})
+
+    def test_rename_graph_names_the_first_bad_name_in_the_mappings_order(
+            self):
+        mapping = {V("a"): V("x"), "b": V("y"), V("c"): L("z")}
+        with pytest.raises(TypeError, match=r"^rename_graph: 'b' is not"):
+            rename_graph(G("a:p b:q c:r"), mapping)
+
+    def test_rename_apart_refuses_a_name_that_is_not_a_vertex_id(self):
+        # "a" is not V("a"): it would avoid nothing and rename nothing.
+        with pytest.raises(TypeError,
+                           match=r"^rename_apart: 'a' is not a VertexId$"):
+            rename_apart(G("a:p b:q", "a>b"), ["a"])
+
+    def test_rename_apart_names_the_first_bad_name_in_the_callers_order(self):
+        with pytest.raises(TypeError, match=r"^rename_apart: 'z' is not"):
+            rename_apart(G("a:p"), iter([V("a"), "z", L("a")]))
+
     @given(dag_graphs())
     def test_rename_apart_deterministic_and_total(self, g):
         avoid = list(g.vertices())[:3]
