@@ -15,8 +15,9 @@ and ``normalize`` reads it off the translation's peel tree, composed from
 the formula, collapsing the commutativity/associativity/currying symmetries.
 Outside the fragment, ``normalize`` raises NotInFragment.  While
 ``lg enumerate --classes`` runs, and only then, a memo of classes lets
-``normalize`` take a compound's class from its operands' classes and hand
-back one formula per class.  Translation and the composed peel tree fold
+``normalize`` compose a compound's class from its operands' classes, from
+their label trees and without walking the compound, and hand back one
+formula per class.  Translation and the composed peel tree fold
 one pre-order of the formula's compounds, the only check that a formula is
 one.  That walk, the parser, the printer and the canonical walk run on
 explicit stacks.  The parser reads the tokens of one regex scan, and text
@@ -568,17 +569,34 @@ def _key_text(f: Formula) -> str:
     return _canonicalize(tree, str.__str__)
 
 
-# While ``_sharing_classes`` is open: a dict from id(f) to (key, normal
-# form) for each formula f normalised inside the fragment, from
-# (connective, left key, right key) to the pair of the first formula so
-# composed, and from each key to its class's one pair; and a list that
-# keeps each such f alive, so that no id is reused while the scope is open.
+def _copy(tree: PeelTree) -> PeelTree:
+    """A fresh copy of a label tree, on an explicit stack: ``_union`` and
+    ``_imply`` mutate their operands."""
+    out: list = []
+    todo = [(tree, out)]
+    while todo:
+        level, into = todo.pop()
+        for clique, sub in level:
+            copied: list = []
+            into.append((clique[:], copied))
+            if sub:
+                todo.append((sub, copied))
+    return out
+
+
+# While ``_sharing_classes`` is open: a dict from id(f) to the class entry
+# (key, normal form, label tree) of each formula f normalised inside the
+# fragment, from (connective, left key, right key), a tensor's keys in
+# sorted order, to the entry of the first formula so composed, and from
+# each key to its class's one entry; and a list that keeps each such f
+# alive, so that no id is reused while the scope is open.  No entry's tree
+# is mutated: it is copied before it is composed.
 _classes: tuple[dict, list] | None = None
 
 
 @contextmanager
 def _sharing_classes():
-    """A scope in which ``normalize`` reads a compound's class off its
+    """A scope in which ``normalize`` composes a compound's class from its
     operands' classes, when both were normalised in it before, and returns
     one normal form object per class."""
     global _classes
@@ -600,26 +618,41 @@ def normalize(f: Formula) -> Formula:
 
     Alpha-equivalence is a congruence for '*' and '-o', so inside
     ``_sharing_classes``, which only ``lg enumerate --classes`` opens, a
-    tensor or implication of two operands normalised there before takes the
-    class recorded for the same connective and operand keys, with no walk,
-    and a key met before gives its class's normal form without a parse.
+    tensor or implication of two operands normalised there before takes its
+    class from theirs.  The same connective on the same operand keys, in
+    either order for '*', gives the class recorded for them, with no work.
+    A new pair composes copies of the operands' label trees with ``_union``
+    or ``_imply`` and renders the result, without walking f; ``_imply``
+    giving None puts f outside the fragment.  A key met before gives its
+    class's normal form without a parse.
     """
     scope = _classes
     if scope is None:
         return parse(_key_text(f))
     classes, kept = scope
-    known = triple = None
+    known = triple = tree = None
     kind = type(f)
     if kind is Tensor or kind is Lolli:
         left, right = classes.get(id(f.left)), classes.get(id(f.right))
         if left is not None and right is not None:
+            if kind is Tensor and right[0] < left[0]:
+                left, right = right, left
             triple = (kind, left[0], right[0])
             known = classes.get(triple)
+            if known is None:
+                tree = (_union if kind is Tensor else _imply)(
+                    _copy(left[2]), _copy(right[2]))
     if known is None:
-        key = _key_text(f)
+        # Outside the fragment, _key_text raises NotInFragment.
+        key = _key_text(f) if tree is None else _canonicalize(tree,
+                                                              str.__str__)
         known = classes.get(key)
         if known is None:
-            known = classes[key] = (key, parse(key))
+            normal = parse(key)
+            if tree is None:  # a leaf, or operands not normalised here
+                tree = (_formula_tree(normal) if kind is Tensor or
+                        kind is Lolli else _level(normal, []))
+            known = classes[key] = (key, normal, tree)
         if triple is not None:
             classes[triple] = known
     classes[id(f)] = known

@@ -436,6 +436,46 @@ class TestDotAndEnumerate:
         assert code == 0 and len(out.splitlines()) == 202
         assert walks <= leaves + len(triples) + outside < len(formulas) / 4
 
+    def test_enumerate_classes_composes_each_new_pair_without_a_walk(
+            self, capsys, monkeypatch):
+        # Only leaves and formulas outside the fragment are walked; each
+        # new pair of operand classes under a connective, in either order
+        # for '*', renders the key composed from their label trees once.
+        formulas = enumerate_formulas([LabelId("p"), LabelId("q")], 3)
+        keys = {}  # id -> key; the list keeps every formula alive
+        for f in formulas:
+            try:
+                keys[id(f)] = print_formula(normalize(f))
+            except NotInFragment:
+                pass
+        compounds = [f for f in formulas if type(f) in (mill.Tensor,
+                                                        mill.Lolli)]
+        leaves = len(formulas) - len(compounds)
+        outside = len(formulas) - len(keys)
+        triples = set()
+        for f in compounds:
+            if id(f.left) in keys and id(f.right) in keys:
+                pair = keys[id(f.left)], keys[id(f.right)]
+                triples.add((type(f), *(sorted(pair) if type(f) is mill.Tensor
+                                        else pair)))
+        counts = {"_formula_tree": 0, "_canonicalize": 0}
+
+        def counted(name):
+            step = getattr(mill, name)
+
+            def call(*args):
+                counts[name] += 1
+                return step(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(mill, name, counted(name))
+        code, out, _ = invoke(capsys, "enumerate", "--atoms", "p,q",
+                              "--max-connectives", "3", "--classes")
+        assert code == 0 and len(out.splitlines()) == 202
+        assert counts["_formula_tree"] <= leaves + outside
+        assert counts["_canonicalize"] <= leaves + outside + len(triples)
+
     @pytest.mark.parametrize("argv", [
         ["--atoms", "p,q", "--max-connectives", "2", "--classes"],
         ["--atoms", "p,q", "--max-connectives", "9", "--classes"],

@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -531,6 +532,79 @@ class TestNormalize:
                     pass
         assert len({id(n) for n in normals}) == \
             len(set(map(print_formula, normals))) == 842
+
+    def test_composing_label_trees_is_the_key_of_the_compound(self):
+        # The congruence the scope relies on: the class of A * B or A -o B
+        # is read off copies of A's and B's label trees, which stay as they
+        # were.  _imply gives None exactly outside the fragment.
+        normals = {}
+        for f in enumerate_formulas([P, Q], 2):
+            try:
+                normal = normalize(f)
+            except NotInFragment:
+                continue
+            normals[print_formula(normal)] = normal
+        assert len(normals) == 42
+        trees = {key: mill._formula_tree(n) for key, n in normals.items()}
+        snapshot = copy.deepcopy(trees)
+        outside = 0
+        for (a, ta), (b, tb) in product(trees.items(), repeat=2):
+            for kind, step in ((Tensor, mill._union), (Lolli, mill._imply)):
+                tree = step(mill._copy(ta), mill._copy(tb))
+                compound = kind(normals[a], normals[b])
+                if tree is None:
+                    outside += 1
+                    with pytest.raises(NotInFragment):
+                        mill._key_text(compound)
+                else:
+                    assert mill._canonicalize(tree, str.__str__) == \
+                        mill._key_text(compound)
+        assert trees == snapshot
+        assert 0 < outside < len(trees) ** 2
+
+    def test_sharing_classes_composes_classes_first_met_whole(self):
+        # Operands normalised whole, units among them, then every tensor and
+        # implication of the first fifteen: composed in the scope, each
+        # result is the plain one.
+        rng = random.Random(20261020)
+        parts = [_random_formula(rng, rng.randint(1, 6), [P, Q, R])
+                 for _ in range(40)]
+
+        def results():
+            out = []
+            for f in parts + [kind(f, g) for f, g in product(parts[:15],
+                                                             repeat=2)
+                              for kind in (Tensor, Lolli)]:
+                try:
+                    out.append(print_formula(normalize(f)))
+                except NotInFragment as exc:
+                    out.append((str(exc), exc.graph))
+            return out
+
+        plain = results()
+        with mill._sharing_classes():
+            shared = results()
+        assert shared == plain
+        assert 0 < sum(type(r) is tuple for r in plain) < len(plain) / 2
+
+    def test_a_tensor_in_either_order_is_one_class(self, monkeypatch):
+        a, b = parse("p -o q"), parse("r * p")
+        renders = 0
+        render = mill._canonicalize
+
+        def counted(*args):
+            nonlocal renders
+            renders += 1
+            return render(*args)
+
+        with mill._sharing_classes():
+            normalize(a)
+            normalize(b)
+            first = normalize(Tensor(a, b))
+            monkeypatch.setattr(mill, "_canonicalize", counted)
+            assert normalize(Tensor(b, a)) is first
+        assert renders == 0
+        assert print_formula(first) == "p * r * (p -o q)"
 
     @given(formulas)
     @settings(max_examples=120)
