@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .core import (LabelId, LogicalGraph, NotASubgraphByName, RawGraph,
-                   VertexId, _graph, _renamed_apart, conclusions)
+                   VertexId, _graph, _renamed_apart, _restrict, conclusions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,13 +41,13 @@ class SumResult:
 @cache
 def empty() -> LogicalGraph:
     """The graph with no vertices; the unit of addition."""
-    return LogicalGraph({}, ())
+    return _graph(LogicalGraph, {}, [])
 
 
 @cache
 def singleton(label: LabelId) -> LogicalGraph:
     """One vertex (named v0) carrying the label, no edges."""
-    return LogicalGraph({VertexId("v0"): label}, ())
+    return _graph(LogicalGraph, {VertexId("v0"): label}, [])
 
 
 def vertex_equivalent(g: RawGraph, h: RawGraph) -> bool:
@@ -86,10 +86,8 @@ def subtract(h: RawGraph, k: RawGraph) -> RawGraph:
             raise NotASubgraphByName(
                 f"vertex {v} is labelled {have} in the minuend "
                 f"but {label} in the subtrahend")
-    gone = k.labelling
-    lab = {v: l for v, l in h.labelling.items() if v not in gone}
-    edges = [(s, d) for s, d in h.edges if s not in gone and d not in gone]
-    return _graph(RawGraph, lab, edges)
+    left = [v for v in h._sorted_vertices if v not in k.labelling]
+    return _restrict(h, left, RawGraph)
 
 
 def implies(h: RawGraph, k: RawGraph) -> SumResult:

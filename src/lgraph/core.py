@@ -115,10 +115,10 @@ def vset(vertices: Iterable[VertexId]) -> VSet:
 class RawGraph:
     """An unvalidated labelled digraph.
 
-    ``labelling`` is a total map from vertices to labels (its domain is the
-    vertex set, its image the label set, so every label has an instance by
-    construction).  ``edges`` is a set of ordered vertex pairs; the first
-    endpoint without a label, in the caller's order, raises UnknownVertex.
+    ``labelling`` maps each vertex to its label, so every label has an
+    instance.  ``edges`` is a set of ordered vertex pairs.  In the caller's
+    order, the first vertex not a VertexId, or label not a LabelId, raises
+    TypeError, and then the first unlabelled endpoint UnknownVertex.
     Instances are immutable and all built by ``_wire``, which precomputes
     adjacency so predecessor/successor queries are O(degree).
     """
@@ -129,6 +129,10 @@ class RawGraph:
     def __init__(self, labelling: Mapping[VertexId, LabelId],
                  edges: Iterable[tuple[VertexId, VertexId]] = ()):
         lab = dict(labelling)
+        for v, l in lab.items():
+            for x, kind in ((v, VertexId), (l, LabelId)):
+                if not isinstance(x, kind):
+                    raise TypeError(f"{x!r} is not a {kind.__name__}")
         edges = list(edges)
         for src, dst in edges:
             if src not in lab or dst not in lab:
@@ -217,13 +221,18 @@ _SLOTS = tuple(getattr(RawGraph, slot).__set__ for slot in RawGraph.__slots__)
 class LogicalGraph(RawGraph):
     """A RawGraph that passed ``validate``.
 
-    Construct via ``validate`` (or the operations documented to preserve
+    Built by ``validate``, by the constructor, which runs its checks and
+    raises what it raises, or by the operations documented to preserve
     validity: ``empty``, ``singleton``, ``add`` of valid operands,
-    ``assumption_graph``/``full_assumption_graph``, ``rename_apart``).
+    ``assumption_graph``/``full_assumption_graph``, ``rename_apart``.
     Equality is structural and compatible with RawGraph.
     """
 
     __slots__ = ()
+
+    def __init__(self, labelling, edges=()):
+        super().__init__(labelling, edges)
+        validate(self)
 
 
 def _graph(cls: type, lab: dict, edges: list) -> RawGraph:
@@ -408,15 +417,15 @@ def _up_closure(g: RawGraph, seeds: Iterable[VertexId]) -> set[VertexId]:
     return closure
 
 
-def _restrict(g: RawGraph, members: set[VertexId], cls: type) -> RawGraph:
-    # Each member's in-edges from members are the induced edges (all of
-    # them when members is up-closed).  Members in vertex order hand _wire
-    # one run to sort and an edge list in vertex order.
+def _restrict(g: RawGraph, members: Iterable[VertexId], cls: type) -> RawGraph:
+    # The subgraph induced on members, which subtract also builds.  Members
+    # in vertex order, as subtract lists them, sort in one run; sorted, they
+    # hand _wire one run to sort and an edge list in vertex order.
     lab = g.labelling
     preds = g._preds
-    order = sorted(members, key=str.__str__)
-    return _graph(cls, {v: lab[v] for v in order},
-                  [(w, v) for v in order for w in preds[v] if w in members])
+    sub = {v: lab[v] for v in sorted(members, key=str.__str__)}
+    return _graph(cls, sub,
+                  [(w, v) for v in sub for w in preds[v] if w in sub])
 
 
 def assumption_graph(g: RawGraph, v: VertexId) -> RawGraph:
@@ -446,7 +455,7 @@ def induced_subgraph(g: RawGraph, w: Iterable[VertexId]) -> RawGraph:
     for v in w:
         if v not in g:
             raise UnknownVertex(v)
-    return _restrict(g, set(w), RawGraph)
+    return _restrict(g, w, RawGraph)
 
 
 class SubgraphRelation(Enum):
@@ -564,33 +573,27 @@ def rename_graph(g: RawGraph, mapping: Mapping[VertexId, VertexId]) -> RawGraph:
 
 def to_json(g: RawGraph) -> str:
     """Canonical file form: sorted vertex keys, lexicographically sorted edges."""
-    # Written in that order: vertices and successor lists are kept sorted.
-    lab, succs, verts = g.labelling, g._succs, g._sorted_vertices
-    return json.dumps({"edges": [(s, d) for s in verts for d in succs[s]],
-                       "vertices": {v: lab[v] for v in verts}},
+    lab = g.labelling
+    return json.dumps({"edges": g._sorted_edges,
+                       "vertices": {v: lab[v] for v in g._sorted_vertices}},
                       separators=(",", ":"), ensure_ascii=False)
 
 
-def _file_edges(edges: list, named: dict[str, VertexId]
-                ) -> list[tuple[VertexId, VertexId]]:
-    """Resolve edges one by one; raise at the first bad one in file order."""
-    pairs = []
+def _bad_edge(edges: list, named: dict[str, VertexId]) -> Error:
+    """The error of the first edge, in file order, that does not resolve."""
     for e in edges:
         if (not isinstance(e, list) or len(e) != 2
                 or not all(isinstance(x, str) and x for x in e)):
-            raise Error(f"invalid graph file: bad edge {e!r}")
-        src, dst = named.get(e[0]), named.get(e[1])
-        if src is None or dst is None:
-            raise UnknownVertex(VertexId(e[0] if src is None else e[1]))
-        pairs.append((src, dst))
-    return pairs
+            return Error(f"invalid graph file: bad edge {e!r}")
+        if missing := [x for x in e if x not in named]:
+            return UnknownVertex(VertexId(missing[0]))
 
 
 def from_json(text: str) -> RawGraph:
     """Parse the graph file format; key and edge order are not significant.
 
     Endpoints resolve in one pass through the file's own name table, so the
-    graph skips ``RawGraph``'s re-check; ``_file_edges`` reports bad edges.
+    graph skips ``RawGraph``'s re-check; ``_bad_edge`` reports bad edges.
     """
     try:
         obj = json.loads(text)
@@ -629,5 +632,5 @@ def from_json(text: str) -> RawGraph:
         pairs = [(named[s], named[d]) for e in edges
                  for s, d in (e if type(e) is list else (),)]
     except (KeyError, TypeError, ValueError):
-        pairs = _file_edges(edges, named)
+        raise _bad_edge(edges, named) from None
     return _graph(RawGraph, lab, pairs)

@@ -12,16 +12,17 @@ Clique members and sibling parts are emitted in a sorted order independent
 of vertex names, so the printed canonical formula, the canonical key, is the
 one canonical form per alpha-equivalence class: ``to_formula`` parses it,
 and ``normalize`` reads it off the translation's peel tree, composed from
-the formula, collapsing the commutativity/associativity/currying symmetries.
-Outside the fragment, ``normalize`` raises NotInFragment.  While
-``lg enumerate --classes`` runs, and only then, a memo of classes lets
-``normalize`` compose a compound's class from its operands' classes, from
-their label trees and without walking the compound, and hand back one
-formula per class.  Translation and the composed peel tree fold
-one pre-order of the formula's compounds, the only check that a formula is
-one.  That walk, the parser, the printer and the canonical walk run on
-explicit stacks.  The parser reads the tokens of one regex scan, and text
-is built from pieces joined once; ``_SYNTAX`` sets parentheses.
+the formula, collapsing the commutativity/associativity/currying
+symmetries.  Outside the fragment, ``normalize`` raises NotInFragment.
+While ``lg enumerate --classes`` runs, and only then, a memo of classes
+lets ``normalize`` compose a compound's class from its operands' label
+trees, without walking the compound, and hand back one formula per class.
+Translation and the composed peel tree fold one right-first pre-order of
+the formula's compounds, which checks each node's operands, left first, as
+it reaches the node; the printer checks as it prints, left to right.  Those
+walks, the parser and the canonical walk run on explicit stacks.  The
+parser reads the tokens of one regex scan, and text is built from pieces
+joined once; ``_SYNTAX`` sets parentheses.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .core import (Error, LabelId, LogicalGraph, NotWellFormed, PeelTree,
 
 @dataclass(frozen=True, slots=True)
 class Unit:
-    def __repr__(self):
-        return "Unit()"
+    """The unit formula 1."""
 
 
 @dataclass(frozen=True, slots=True)

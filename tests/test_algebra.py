@@ -141,6 +141,18 @@ class TestSubtract:
         assert survivor == G("v1:q v2:p")
         assert alpha_equiv(survivor, k) is None
 
+    @given(dag_graphs())
+    def test_removes_every_edge_touching_the_named_vertices(self, h):
+        # The paper's definition, edge by edge, against the built graph.
+        k = induced_subgraph(h, h.vertices()[::2])
+        got = subtract(h, k)
+        assert got.labelling == {v: l for v, l in h.labelling.items()
+                                 if v not in k}
+        assert got.edges == {(s, d) for s, d in h.edges
+                             if s not in k and d not in k}
+        assert got._sorted_edges == tuple(sorted(got.edges))
+        assert type(got) is RawGraph
+
     @given(valid_graphs(), valid_graphs())
     @settings(max_examples=60)
     def test_sum_minus_renamed_left_is_right_exactly(self, h, k):

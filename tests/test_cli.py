@@ -160,6 +160,16 @@ class TestGraphCommands:
         assert code == 2
         assert err.startswith("error:schema:")
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+    def test_top_level_that_is_not_an_object_is_a_schema_error(
+            self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error:schema: invalid graph file: top level must be "
+                       "an object\n")
+
     def test_empty_edge_endpoint_is_a_schema_error(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"vertices":{"a":"p"},"edges":[["","a"]]}',

@@ -97,6 +97,36 @@ class TestRawGraph:
                                  timeout=60).stdout
             assert out.split() == ["b", "x"], f"PYTHONHASHSEED={seed}"
 
+    @pytest.mark.parametrize("labelling, bad", [
+        ({"a": L("p"), V("b"): "q"}, "'a' is not a VertexId"),
+        ({V("a"): L("p"), V("b"): "q"}, "'q' is not a LabelId"),
+        ({V("a"): "p", "b": L("q")}, "'p' is not a LabelId"),
+        ({"a": "p"}, "'a' is not a VertexId"),
+        ({V("a"): V("p")}, "V('p') is not a LabelId"),
+        ({L("a"): L("p")}, "L('a') is not a VertexId")])
+    def test_constructor_takes_identifiers_only(self, labelling, bad):
+        # A plain str printed and was written like an identifier, yet no
+        # VertexId matched it: membership, equality, alpha-equivalence and
+        # adjacency queries all missed the graph's own vertices.
+        for cls in (RawGraph, LogicalGraph):
+            with pytest.raises(TypeError) as caught:
+                cls(labelling, [])
+            assert str(caught.value) == bad
+
+    def test_edge_endpoints_are_still_unknown_vertices(self):
+        with pytest.raises(UnknownVertex) as caught:
+            RawGraph({V("a"): L("p")}, [(V("a"), "a")])
+        assert caught.value.vertex == "a"
+
+    def test_equality_with_a_non_graph(self):
+        g = G("a:p")
+        assert (g == 3) is False
+        assert (g != 3) is True
+
+    def test_repr_summarises_a_graph_of_nine_vertices(self):
+        g = G(" ".join(f"v{i}:p" for i in range(9)), "v0>v1")
+        assert repr(g) == "RawGraph(<9 vertices, 1 edges>)"
+
     def test_inputs_are_copied(self):
         labelling = {V("a"): L("p")}
         g = RawGraph(labelling, [])
@@ -111,6 +141,30 @@ class TestRawGraph:
         assert names(g.vertices()) == ["a", "b", "c"]
         with pytest.raises(UnknownVertex):
             g.label_of(V("z"))
+
+
+class TestLogicalGraphConstructor:
+    def test_a_valid_graph_is_built(self):
+        g = LogicalGraph({V("a"): L("p"), V("b"): L("q")}, [(V("a"), V("b"))])
+        assert type(g) is LogicalGraph
+        assert g == validate(G("a:p b:q", "a>b"))
+
+    def test_a_cycle_raises_what_validate_raises(self):
+        # Built unchecked, canonical_key and alpha_equiv failed on it with
+        # two different errors.
+        a, b = V("a"), V("b")
+        with pytest.raises(CyclicEdges) as caught:
+            LogicalGraph({a: L("p"), b: L("q")}, [(a, b), (b, a)])
+        assert caught.value.cycle == (a, b)
+
+    def test_a_graph_with_no_formula_reading_is_refused(self):
+        raw = G(*N_GRAPH)
+        with pytest.raises(NotWellFormed) as want:
+            validate(raw)
+        with pytest.raises(NotWellFormed) as got:
+            LogicalGraph(raw.labelling, raw.edges)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
 
 
 class TestValidate:
@@ -313,6 +367,11 @@ class TestPredecessors:
 
     def test_successors(self):
         assert names(successors(G(*EXAMPLE_A), V("a"))) == ["b", "c"]
+
+    def test_successors_of_an_unknown_vertex(self):
+        with pytest.raises(UnknownVertex) as caught:
+            successors(G("a:p"), V("zz"))
+        assert caught.value.vertex == V("zz")
 
 
 class TestAssumptionGraphs:
@@ -582,6 +641,14 @@ class TestGraphFiles:
         with pytest.raises(UnknownVertex) as caught:
             from_json('{"vertices": {"a": "p"}, "edges": [["b","a"]]}')
         assert caught.value.vertex == V("b")
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+    def test_top_level_that_is_not_an_object_rejected(self, text):
+        with pytest.raises(Error) as caught:
+            from_json(text)
+        assert type(caught.value) is Error
+        assert str(caught.value) == ("invalid graph file: top level must be "
+                                     "an object")
 
     def test_not_json_rejected(self):
         with pytest.raises(Exception, match="invalid graph file"):

@@ -86,6 +86,22 @@ class TestPrint:
         assert print_formula(Tensor(Atom(P), Tensor(Atom(Q), Atom(R)))) == \
             "p * (q * r)"
 
+    def test_non_formula_operand_is_a_type_error(self):
+        with pytest.raises(TypeError) as caught:
+            print_formula(Tensor(Atom(P), "x"))
+        assert str(caught.value) == "not a formula: 'x'"
+
+    def test_names_the_first_non_formula_in_print_order(self):
+        # The printer checks as it prints, left to right; translation and
+        # normalize check in the right-first pre-order of the compounds,
+        # each node's operands when the node is reached.
+        f = Tensor(Tensor(Atom(P), "x"), "y")
+        for walk, bad in [(print_formula, "x"), (to_graph, "y"),
+                          (normalize, "y")]:
+            with pytest.raises(TypeError) as caught:
+                walk(f)
+            assert str(caught.value) == f"not a formula: {bad!r}", walk
+
     @given(formulas)
     def test_round_trips_through_parse(self, f):
         assert parse(print_formula(f)) == f
