@@ -174,19 +174,19 @@ def _cmd_enumerate(args) -> None:
         return
     # The formulas are built from earlier ones, so the scope lets normalize
     # compose each class from its operands' classes, and it hands back one
-    # formula per class: tally by identity and print each once.
-    tally: dict[int, list] = {}  # id -> [normal form, count]
+    # formula per class: tally by identity and print each key once.
+    tally: dict[int, int] = {}  # id of a normal form -> count
     skipped = 0
-    with mill._sharing_classes():
+    with mill._sharing_classes() as key_of:
         for f in formulas:
             try:
-                normal = mill.normalize(f)
+                normal = id(mill.normalize(f))
             except NotInFragment:
                 skipped += 1
                 continue
-            tally.setdefault(id(normal), [normal, 0])[1] += 1
-    for key, n in sorted((mill.print_formula(normal), n)
-                         for normal, n in tally.values()):
+            tally[normal] = tally.get(normal, 0) + 1
+        rows = sorted((key_of(normal), n) for normal, n in tally.items())
+    for key, n in rows:
         print(f"{key}\t{n}")
     if skipped:
         print(f"skipped {skipped} formulas outside the fragment",

@@ -15,8 +15,9 @@ and ``normalize`` reads it off the translation's peel tree, composed from
 the formula, collapsing the commutativity/associativity/currying
 symmetries.  Outside the fragment, ``normalize`` raises NotInFragment.
 While ``lg enumerate --classes`` runs, and only then, a memo of classes
-lets ``normalize`` compose a compound's class from its operands' label
-trees, without walking the compound, and hand back one formula per class.
+lets ``normalize`` build a compound's class from its operands' canonical
+parts, which it shares and never copies, without walking, rendering or
+parsing the compound, and hand back one formula per class and its key.
 Translation and the composed peel tree fold one right-first pre-order of
 the formula's compounds, which checks each node's operands, left first, as
 it reaches the node; the printer checks as it prints, left to right.  Those
@@ -32,6 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Sequence, Union
 
 from . import algebra
@@ -397,7 +399,7 @@ def _flat(piece) -> str:
     return "".join(out)
 
 
-def _right_tensor(operands: list[str]) -> str:
+def _right_tensor(operands: Sequence[str]) -> str:
     """o1 * (o2 * (... * ok)), as ``_SYNTAX`` brackets it, from k >= 2
     operand texts that carry their own parentheses already."""
     return (" * (".join(operands[:-1]) + " * " + operands[-1]
@@ -405,6 +407,27 @@ def _right_tensor(operands: list[str]) -> str:
 
 
 _NO_PARTS = ("1", _ATOM)
+_TENSOR, _TENSOR_LEFT, _TENSOR_RIGHT = _SYNTAX[Tensor][1:]
+_LOLLI, _LOLLI_LEFT = _SYNTAX[Lolli][1:3]
+
+
+def _implied_text(sub: tuple, clique: str) -> tuple:
+    """``sub -o clique``: the text, a piece, and the precedence of a part
+    whose assumptions have the text and precedence ``sub`` and whose clique
+    has the text ``clique``; ``sub`` takes the parentheses ``_SYNTAX`` asks
+    for."""
+    return ((sub[0], " -o ", clique) if sub[1] >= _LOLLI_LEFT
+            else ("(", sub[0], ") -o ", clique)), _LOLLI
+
+
+def _level_text(parts: Sequence[tuple]) -> str:
+    """The text of a level of two or more parts, given in key order, each
+    by its text and precedence first: tensored right-nested, each in the
+    parentheses ``_SYNTAX`` asks for."""
+    last = parts[-1]
+    return _right_tensor(
+        [p[0] if p[1] >= _TENSOR_LEFT else f"({p[0]})" for p in parts[:-1]]
+        + [last[0] if last[1] >= _TENSOR_RIGHT else f"({last[0]})"])
 
 
 def _canonicalize(tree: PeelTree, label, nodes: list | None = None) -> str:
@@ -413,14 +436,13 @@ def _canonicalize(tree: PeelTree, label, nodes: list | None = None) -> str:
     ``label`` reads a clique member's label: a graph's labelling, or
     ``str.__str__`` where cliques hold labels.  Clique members tensor in
     ascending label order, implied by their assumptions' text when there are
-    any; sibling parts sort by their text and tensor together.  A post-order
-    walk over an explicit stack: a list opens a level, a part closes after
-    its children and an int n closes the level of the last n parts.  Texts
-    are pieces, flattened where a level of two or more parts sorts them and
-    at the end.  Given a list, the walk leaves the ``Decomposition`` in it.
+    any (``_implied_text``); sibling parts sort by their text and tensor
+    together (``_level_text``).  A post-order walk over an explicit stack: a
+    list opens a level, a part closes after its children and an int n
+    closes the level of the last n parts.  Texts are pieces, flattened where
+    a level of two or more parts sorts them and at the end.  Given a list,
+    the walk leaves the ``Decomposition`` in it.
     """
-    _, tensor, tensor_left, tensor_right = _SYNTAX[Tensor]
-    _, lolli, lolli_left, _ = _SYNTAX[Lolli]
     done: list = []  # (piece, precedence) per closed part or level
     todo: list = [tree]
     while todo:
@@ -430,17 +452,14 @@ def _canonicalize(tree: PeelTree, label, nodes: list | None = None) -> str:
             for part in reversed(x):
                 todo += (part, part[1])  # closed after its children
         elif type(x) is tuple:
-            sub = done.pop()
-            clique = x[0]
+            sub, clique = done.pop(), x[0]
             if len(clique) == 1:
                 text, prec = str.__str__(label(clique[0])), _ATOM
             else:
                 text, prec = _right_tensor(sorted(map(label, clique),
-                                                  key=str.__str__)), tensor
-            if sub is not _NO_PARTS:
-                text, prec = ((sub[0], " -o ", text) if sub[1] >= lolli_left
-                              else ("(", sub[0], ") -o ", text)), lolli
-            done.append((text, prec))
+                                                  key=str.__str__)), _TENSOR
+            done.append((text, prec) if sub is _NO_PARTS
+                        else _implied_text(sub, text))
             if nodes is not None:
                 nodes.append(DecompositionPart(x[0], nodes.pop()))
         elif x == 0:  # a level without parts: 1
@@ -453,10 +472,7 @@ def _canonicalize(tree: PeelTree, label, nodes: list | None = None) -> str:
         else:
             level = sorted([(_flat(piece), prec, i) for i, (piece, prec)
                             in enumerate(done[-x:])])
-            done[-x:] = [(_right_tensor(
-                [t if p >= tensor_left else f"({t})" for t, p, _ in level[:-1]]
-                + [t if p >= tensor_right else f"({t})"
-                   for t, p, _ in level[-1:]]), tensor)]
+            done[-x:] = [(_level_text(level), _TENSOR)]
             if nodes is not None:
                 cut = len(nodes) - x
                 nodes[cut:] = [Decomposition(tuple(nodes[cut + i]
@@ -539,20 +555,38 @@ def _level(x, levels: list) -> list:
     return [] if kind is Unit else levels.pop()
 
 
-def _formula_tree(f: Formula) -> PeelTree | None:
-    """The peel tree of ``to_graph(f)`` read off f, with label lists for
-    cliques; None outside the fragment.  The fold of ``_union`` over tensors
-    and ``_imply`` over implications, over ``_compounds(f)`` backwards, with
-    atom and unit operands read in place as ``to_graph`` reads them."""
+def _fold(f: Formula, leaf, tensor, lolli):
+    """The fold of ``tensor`` over tensors and ``lolli`` over implications,
+    over ``_compounds(f)`` backwards, with ``leaf`` reading atom and unit
+    operands in place as ``to_graph`` reads them, and the result of the
+    compound below otherwise; None as soon as a step gives None."""
     levels: list = []
     for x in reversed(_compounds(f)):
-        right = _level(x.right, levels)  # its level was pushed last
-        level = (_union if type(x) is Tensor else _imply)(
-            _level(x.left, levels), right)
+        right = leaf(x.right, levels)  # its level was pushed last
+        level = (tensor if type(x) is Tensor else lolli)(leaf(x.left, levels),
+                                                         right)
         if level is None:
             return None
         levels.append(level)
-    return _level(f, levels)
+    return leaf(f, levels)
+
+
+def _formula_tree(f: Formula) -> PeelTree | None:
+    """The peel tree of ``to_graph(f)`` read off f, with label lists for
+    cliques; None outside the fragment.  The fold of ``_union`` over tensors
+    and ``_imply`` over implications."""
+    return _fold(f, _level, _union, _imply)
+
+
+def _translated_key(f: Formula) -> str:
+    """The canonical key of ``to_graph(f)``, for an f whose peel tree read
+    off f fails: outside the fragment NotInFragment carries the graph and
+    the peel's NotWellFormed."""
+    g = to_graph(f)
+    try:
+        return canonical_key(g)
+    except NotWellFormed as exc:
+        raise NotInFragment(g, exc) from None
 
 
 def _key_text(f: Formula) -> str:
@@ -561,51 +595,159 @@ def _key_text(f: Formula) -> str:
     key is already ``print_formula`` of its own parse."""
     tree = _formula_tree(f)
     if tree is None:
-        g = to_graph(f)
-        try:
-            return canonical_key(g)
-        except NotWellFormed as exc:
-            raise NotInFragment(g, exc) from None
+        return _translated_key(f)
     return _canonicalize(tree, str.__str__)
 
 
-def _copy(tree: PeelTree) -> PeelTree:
-    """A fresh copy of a label tree, on an explicit stack: ``_union`` and
-    ``_imply`` mutate their operands."""
-    out: list = []
-    todo = [(tree, out)]
-    while todo:
-        level, into = todo.pop()
-        for clique, sub in level:
-            copied: list = []
-            into.append((clique[:], copied))
-            if sub:
-                todo.append((sub, copied))
-    return out
+# The canonical peel tree of a class as ``_sharing_classes`` keeps it: a
+# level is a tuple of parts in key order, and a part is the tuple (text,
+# precedence, clique labels in ascending order, level of its assumptions,
+# formula).  A part's formula is its clique's atoms tensored right-nested,
+# implied by its assumptions' formula when it has any; a level's is its
+# parts' formulas tensored right-nested, or 1.  Nothing here is mutated, so
+# a level composed from others shares their parts and builds only its new
+# ones.  ``_union`` and ``_imply`` are the same steps on the walk's label
+# trees: they merge the smaller level into the larger in place, which keeps
+# a wide '*' chain linear there and would need a copy per step here.
+_TEXT = itemgetter(0)
+
+
+def _part(labels: tuple, sub: tuple, clique: Formula) -> tuple:
+    """The part of a clique with these labels and assumptions, from the
+    clique's formula."""
+    if len(labels) == 1:
+        text, prec = str.__str__(labels[0]), _ATOM
+    else:
+        text, prec = _right_tensor(labels), _TENSOR
+    if not sub:
+        return text, prec, labels, sub, clique
+    piece, prec = _implied_text(_level_key(sub), text)
+    return "".join(piece), prec, labels, sub, Lolli(_level_formula(sub),
+                                                    clique)
+
+
+def _level_key(level: tuple) -> tuple[str, int]:
+    """The text and precedence of a level."""
+    if len(level) > 1:
+        return _level_text(level), _TENSOR
+    return level[0][:2] if level else _NO_PARTS
+
+
+def _level_formula(level: tuple) -> Formula:
+    """The formula of a level: its parts' tensored right-nested, or 1."""
+    if not level:
+        return Unit()
+    f = level[-1][4]
+    for i in range(len(level) - 2, -1, -1):
+        f = Tensor(level[i][4], f)
+    return f
+
+
+def _tensor_level(a: tuple, b: tuple) -> tuple:
+    """The level of A * B: A's and B's parts in key order, their
+    premise-less cliques, at most one in each, made one new part."""
+    parts = a + b
+    free = [p for p in parts if not p[3]]
+    if len(free) == 2:
+        labels = tuple(sorted(free[0][2] + free[1][2], key=str.__str__))
+        clique = Atom(labels[-1])
+        for label in labels[-2::-1]:
+            clique = Tensor(Atom(label), clique)
+        parts = [p for p in parts if p[3]]
+        parts.append(_part(labels, (), clique))
+    return tuple(sorted(parts, key=_TEXT))
+
+
+def _lolli_level(a: tuple, b: tuple) -> tuple | None:
+    """The level of A -o B: A joins the assumptions of B if B is one part,
+    and None if B has more."""
+    if not a or not b:
+        return b or a
+    if len(b) > 1:
+        return None
+    (_, _, labels, sub, f), = b
+    return (_part(labels, _tensor_level(sub, a), f.right if sub else f),)
+
+
+def _leaf_level(x, levels: list) -> tuple:
+    """The level of an atom or 1 read in place, else the next on levels."""
+    kind = type(x)
+    if kind is Atom:
+        return (_part((x.label,), (), x),)
+    return () if kind is Unit else levels.pop()
+
+
+def _level_of(normal: Formula) -> tuple:
+    """The level of a normal form, folded as ``_formula_tree`` folds."""
+    return _fold(normal, _leaf_level, _tensor_level, _lolli_level)
 
 
 # While ``_sharing_classes`` is open: a dict from id(f) to the class entry
-# (key, normal form, label tree) of each formula f normalised inside the
-# fragment, from (connective, left key, right key), a tensor's keys in
-# sorted order, to the entry of the first formula so composed, and from
-# each key to its class's one entry; and a list that keeps each such f
-# alive, so that no id is reused while the scope is open.  No entry's tree
-# is mutated: it is copied before it is composed.
+# (key, normal form, level) of each formula f normalised inside the
+# fragment, and to ``_OUTSIDE`` for each outside it; from the id of each
+# normal form handed out, which is a formula of its class, to that class's
+# entry; from (connective, left key, right key), a tensor's keys in sorted
+# order, to the entry of the first formula so composed; and from each key
+# to its class's one entry.  And a list that keeps each f alive, so that
+# no id is reused while the scope is open.
 _classes: tuple[dict, list] | None = None
+_OUTSIDE = object()
 
 
 @contextmanager
 def _sharing_classes():
     """A scope in which ``normalize`` composes a compound's class from its
     operands' classes, when both were normalised in it before, and returns
-    one normal form object per class."""
+    one normal form object per class.  It yields the function from the id
+    of a normal form it returned to that form's key."""
     global _classes
     outer = _classes
-    _classes = ({}, [])
+    classes: dict = {}
+    _classes = (classes, [])
     try:
-        yield
+        yield lambda normal_id: classes[normal_id][0]
     finally:
         _classes = outer
+
+
+def _class_of_key(key: str, classes: dict,
+                  level: tuple | None = None) -> tuple:
+    """The entry of the class with this key, made if new, its normal form
+    from its level if given, else from its key."""
+    known = classes.get(key)
+    if known is None:
+        if level is None:
+            normal = parse(key)
+            level = _level_of(normal)
+        else:
+            normal = _level_formula(level)
+        known = classes[key] = classes[id(normal)] = (key, normal, level)
+    return known
+
+
+def _class_of(f: Formula, classes: dict) -> tuple:
+    """The entry of f's class in the scope; NotInFragment outside."""
+    kind = type(f)
+    if kind is Tensor or kind is Lolli:
+        left, right = classes.get(id(f.left)), classes.get(id(f.right))
+        if left is _OUTSIDE or right is _OUTSIDE:
+            # The fragment is closed under subformulas: this raises.
+            return _class_of_key(_translated_key(f), classes)
+        if left is not None and right is not None:
+            if kind is Tensor and right[0] < left[0]:
+                left, right = right, left
+            triple = (kind, left[0], right[0])
+            known = classes.get(triple)
+            if known is None:
+                level = (_tensor_level if kind is Tensor else _lolli_level)(
+                    left[2], right[2])
+                if level is None:  # outside the fragment: this raises
+                    return _class_of_key(_translated_key(f), classes)
+                known = classes[triple] = _class_of_key(
+                    _level_key(level)[0], classes, level)
+            return known
+    # A leaf, or a compound whose operands were not normalised here.
+    return _class_of_key(_key_text(f), classes)
 
 
 def normalize(f: Formula) -> Formula:
@@ -621,40 +763,21 @@ def normalize(f: Formula) -> Formula:
     tensor or implication of two operands normalised there before takes its
     class from theirs.  The same connective on the same operand keys, in
     either order for '*', gives the class recorded for them, with no work.
-    A new pair composes copies of the operands' label trees with ``_union``
-    or ``_imply`` and renders the result, without walking f; ``_imply``
-    giving None puts f outside the fragment.  A key met before gives its
-    class's normal form without a parse.
+    A new pair composes the operands' levels, building only the new parts
+    and their text and formulas, without walking f, parsing or copying.  An
+    implication whose right side has several parts, or an operand found
+    outside the fragment, puts f outside, and f is translated without a
+    walk.  A key met before gives its class's normal form.
     """
     scope = _classes
     if scope is None:
         return parse(_key_text(f))
     classes, kept = scope
-    known = triple = tree = None
-    kind = type(f)
-    if kind is Tensor or kind is Lolli:
-        left, right = classes.get(id(f.left)), classes.get(id(f.right))
-        if left is not None and right is not None:
-            if kind is Tensor and right[0] < left[0]:
-                left, right = right, left
-            triple = (kind, left[0], right[0])
-            known = classes.get(triple)
-            if known is None:
-                tree = (_union if kind is Tensor else _imply)(
-                    _copy(left[2]), _copy(right[2]))
-    if known is None:
-        # Outside the fragment, _key_text raises NotInFragment.
-        key = _key_text(f) if tree is None else _canonicalize(tree,
-                                                              str.__str__)
-        known = classes.get(key)
-        if known is None:
-            normal = parse(key)
-            if tree is None:  # a leaf, or operands not normalised here
-                tree = (_formula_tree(normal) if kind is Tensor or
-                        kind is Lolli else _level(normal, []))
-            known = classes[key] = (key, normal, tree)
-        if triple is not None:
-            classes[triple] = known
-    classes[id(f)] = known
     kept.append(f)
+    try:
+        known = _class_of(f, classes)
+    except NotInFragment:
+        classes[id(f)] = _OUTSIDE
+        raise
+    classes[id(f)] = known
     return known[1]

@@ -486,6 +486,43 @@ class TestDotAndEnumerate:
         assert counts["_formula_tree"] <= leaves + outside
         assert counts["_canonicalize"] <= leaves + outside + len(triples)
 
+    def test_enumerate_classes_builds_each_new_class_from_its_operands(
+            self, capsys, monkeypatch):
+        # A new class is built from its operands' parts, with no parse,
+        # render or walk; a formula with an operand outside the fragment, or
+        # whose implication fails, is translated without a walk; and the
+        # table prints the keys the scope holds.  Only leaves are walked.
+        formulas = enumerate_formulas([LabelId("p"), LabelId("q")], 3)
+        outside = 0
+        for f in formulas:
+            try:
+                normalize(f)
+            except NotInFragment:
+                outside += 1
+        leaves = sum(type(f) not in (mill.Tensor, mill.Lolli)
+                     for f in formulas)
+        counts = dict.fromkeys(["parse", "_canonicalize", "print_formula",
+                                "_formula_tree"], 0)
+
+        def counted(name):
+            step = getattr(mill, name)
+
+            def call(*args):
+                counts[name] += 1
+                return step(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(mill, name, counted(name))
+        code, out, _ = invoke(capsys, "enumerate", "--atoms", "p,q",
+                              "--max-connectives", "3", "--classes")
+        assert code == 0 and len(out.splitlines()) == 202
+        assert (leaves, outside) == (3, 32)
+        assert counts["parse"] <= leaves
+        assert counts["_canonicalize"] <= leaves + outside
+        assert counts["print_formula"] == 0
+        assert counts["_formula_tree"] <= leaves
+
     @pytest.mark.parametrize("argv", [
         ["--atoms", "p,q", "--max-connectives", "2", "--classes"],
         ["--atoms", "p,q", "--max-connectives", "9", "--classes"],

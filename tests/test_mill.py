@@ -566,7 +566,7 @@ class TestNormalize:
         outside = 0
         for (a, ta), (b, tb) in product(trees.items(), repeat=2):
             for kind, step in ((Tensor, mill._union), (Lolli, mill._imply)):
-                tree = step(mill._copy(ta), mill._copy(tb))
+                tree = step(copy.deepcopy(ta), copy.deepcopy(tb))
                 compound = kind(normals[a], normals[b])
                 if tree is None:
                     outside += 1
@@ -577,6 +577,63 @@ class TestNormalize:
                         mill._key_text(compound)
         assert trees == snapshot
         assert 0 < outside < len(trees) ** 2
+
+    def test_composing_levels_is_the_key_of_the_compound(self):
+        # The scope's step on every ordered pair of its class entries gives
+        # the walk's key, a normal form that is that key parsed, and None
+        # exactly outside the fragment, and leaves its operands as they
+        # were: the levels' parts against the walk's label trees.
+        with mill._sharing_classes():
+            for f in enumerate_formulas([P, Q], 2):
+                try:
+                    normalize(f)
+                except NotInFragment:
+                    pass
+            entries = {key: entry for key, entry in mill._classes[0].items()
+                       if type(key) is str}
+        assert len(entries) == 42
+        snapshot = copy.deepcopy(entries)
+        outside = 0
+        for (a, ea), (b, eb) in product(entries.items(), repeat=2):
+            for kind, step in ((Tensor, mill._tensor_level),
+                               (Lolli, mill._lolli_level)):
+                level = step(ea[2], eb[2])
+                compound = kind(ea[1], eb[1])
+                if level is None:
+                    outside += 1
+                    with pytest.raises(NotInFragment):
+                        mill._key_text(compound)
+                    continue
+                key = mill._level_key(level)[0]
+                assert key == mill._key_text(compound)
+                assert mill._level_formula(level) == parse(key)
+        assert entries == snapshot
+        assert 0 < outside < len(entries) ** 2
+        # The render helpers, on the peel trees of the classes' graphs,
+        # give _canonicalize's text.
+
+        def render(g, level):
+            parts = []
+            for clique, sub in level:
+                members = sorted((g.labelling[v] for v in clique),
+                                 key=str.__str__)
+                text, prec = ((members[0].name, mill._ATOM)
+                              if len(members) == 1 else
+                              (mill._right_tensor(members), mill._TENSOR))
+                sub = render(g, sub)
+                if sub is not mill._NO_PARTS:
+                    piece, prec = mill._implied_text(sub, text)
+                    text = mill._flat(piece)
+                parts.append((text, prec))
+            parts.sort()
+            if len(parts) > 1:
+                return mill._level_text(parts), mill._TENSOR
+            return parts[0] if parts else mill._NO_PARTS
+
+        for key, (_, normal, _) in entries.items():
+            g = validate(to_graph(normal))
+            assert mill._flat(render(g, peel_tree(g))[0]) == key == \
+                canonical_key(g)
 
     def test_sharing_classes_composes_classes_first_met_whole(self):
         # Operands normalised whole, units among them, then every tensor and
