@@ -64,7 +64,10 @@ class _Identifier(str):
     _interned: dict[str, "_Identifier"]
 
     def __new__(cls, name: str):
-        cached = cls._interned.get(name)
+        try:
+            cached = cls._interned.get(name)
+        except TypeError:  # unhashable, so not a string either
+            cached = None
         if cached is not None:
             return cached
         if not isinstance(name, str) or not name:

@@ -13,7 +13,8 @@ of vertex names, so the printed canonical formula, the canonical key, is the
 one canonical form per alpha-equivalence class: ``to_formula`` parses it,
 and ``normalize`` reads it off the translation's peel tree, composed from
 the formula, collapsing the commutativity/associativity/currying
-symmetries.  Outside the fragment, ``normalize`` raises NotInFragment.
+symmetries.  Outside the fragment, ``normalize`` raises NotInFragment,
+which translates the formula only when its graph, cause or text is read.
 While ``lg enumerate --classes`` runs, and only then, a memo of classes
 lets ``normalize`` build a compound's class from its operands' canonical
 parts, which it shares and never copies, without walking, rendering or
@@ -96,12 +97,47 @@ class ParseError(Error):
 
 
 class NotInFragment(Error):
-    """The formula's graph is not well-formed, so it has no canonical form."""
+    """The formula's graph is not well-formed, so it has no canonical form.
+
+    ``_of(f)`` makes one for a formula f known to be outside the fragment
+    without translating f: its graph, ``to_graph(f)``, and its cause, the
+    NotWellFormed that peeling the graph raises, are made the first time
+    its graph, cause, text or args are read, and then kept."""
 
     def __init__(self, graph: RawGraph, cause: Error):
         super().__init__(f"formula translates outside the graph fragment: {cause}")
         self.graph = graph
         self.cause = cause
+
+    @classmethod
+    def _of(cls, f: Formula) -> NotInFragment:
+        exc = cls.__new__(cls)
+        exc._formula = f
+        return exc
+
+    def _filled(self) -> NotInFragment:
+        f = self.__dict__.pop("_formula", None)
+        if f is not None:
+            g = to_graph(f)
+            try:
+                peel_tree(g)
+            except NotWellFormed as cause:
+                self.__init__(g, cause)
+        return self
+
+    def __getattr__(self, name: str):  # graph and cause before they are made
+        if name in ("graph", "cause") and "_formula" in self.__dict__:
+            return getattr(self._filled(), name)
+        return object.__getattribute__(self, name)
+
+    args = property(lambda self: BaseException.args.__get__(self._filled()),
+                    BaseException.args.__set__)
+
+    def __str__(self):
+        return Error.__str__(self._filled())
+
+    def __repr__(self):
+        return Error.__repr__(self._filled())
 
 
 # The one rule for atom names: the parser's, to_formula's and lg enumerate's.
@@ -578,24 +614,13 @@ def _formula_tree(f: Formula) -> PeelTree | None:
     return _fold(f, _level, _union, _imply)
 
 
-def _translated_key(f: Formula) -> str:
-    """The canonical key of ``to_graph(f)``, for an f whose peel tree read
-    off f fails: outside the fragment NotInFragment carries the graph and
-    the peel's NotWellFormed."""
-    g = to_graph(f)
-    try:
-        return canonical_key(g)
-    except NotWellFormed as exc:
-        raise NotInFragment(g, exc) from None
-
-
 def _key_text(f: Formula) -> str:
     """f's canonical key, read off the peel tree composed from f; outside
-    the fragment f is translated and NotInFragment carries the graph.  The
-    key is already ``print_formula`` of its own parse."""
+    the fragment NotInFragment, which translates f only when read.  The key
+    is already ``print_formula`` of its own parse."""
     tree = _formula_tree(f)
     if tree is None:
-        return _translated_key(f)
+        raise NotInFragment._of(f)
     return _canonicalize(tree, str.__str__)
 
 
@@ -731,8 +756,8 @@ def _class_of(f: Formula, classes: dict) -> tuple:
     if kind is Tensor or kind is Lolli:
         left, right = classes.get(id(f.left)), classes.get(id(f.right))
         if left is _OUTSIDE or right is _OUTSIDE:
-            # The fragment is closed under subformulas: this raises.
-            return _class_of_key(_translated_key(f), classes)
+            # The fragment is closed under subformulas.
+            raise NotInFragment._of(f)
         if left is not None and right is not None:
             if kind is Tensor and right[0] < left[0]:
                 left, right = right, left
@@ -741,8 +766,8 @@ def _class_of(f: Formula, classes: dict) -> tuple:
             if known is None:
                 level = (_tensor_level if kind is Tensor else _lolli_level)(
                     left[2], right[2])
-                if level is None:  # outside the fragment: this raises
-                    return _class_of_key(_translated_key(f), classes)
+                if level is None:
+                    raise NotInFragment._of(f)
                 known = classes[triple] = _class_of_key(
                     _level_key(level)[0], classes, level)
             return known
@@ -755,8 +780,9 @@ def normalize(f: Formula) -> Formula:
 
     ``to_formula(validate(to_graph(f)))`` without the promoted copy, read
     off the translation's peel tree as composed from f.  Outside the
-    fragment f is translated, and the peel's NotWellFormed is the cause of
-    NotInFragment, which carries the graph.  Idempotent on its domain.
+    fragment NotInFragment is raised with nothing translated; the first
+    read of its graph, cause or text translates f, and the peel's
+    NotWellFormed is its cause.  Idempotent on its domain.
 
     Alpha-equivalence is a congruence for '*' and '-o', so inside
     ``_sharing_classes``, which only ``lg enumerate --classes`` opens, a
@@ -766,8 +792,8 @@ def normalize(f: Formula) -> Formula:
     A new pair composes the operands' levels, building only the new parts
     and their text and formulas, without walking f, parsing or copying.  An
     implication whose right side has several parts, or an operand found
-    outside the fragment, puts f outside, and f is translated without a
-    walk.  A key met before gives its class's normal form.
+    outside the fragment, puts f outside without a walk.  A key met
+    before gives its class's normal form.
     """
     scope = _classes
     if scope is None:

@@ -523,6 +523,33 @@ class TestDotAndEnumerate:
         assert counts["print_formula"] == 0
         assert counts["_formula_tree"] <= leaves
 
+    def test_enumerate_classes_never_translates(self, capsys, monkeypatch):
+        # A formula outside the fragment is only counted, so its
+        # NotInFragment is never read and nothing is translated; a plain
+        # normalize translates once, when the exception's graph is read.
+        argv = ["enumerate", "--atoms", "p,q", "--max-connectives", "3",
+                "--classes"]
+        expected = invoke(capsys, *argv)
+        calls = 0
+        translate = mill.to_graph
+
+        def counted(f):
+            nonlocal calls
+            calls += 1
+            return translate(f)
+
+        monkeypatch.setattr(mill, "to_graph", counted)
+        assert invoke(capsys, *argv) == expected
+        assert expected[2] == "skipped 32 formulas outside the fragment\n"
+        assert calls == 0
+        with pytest.raises(NotInFragment) as info:
+            normalize(mill.parse("p -o (a -o b) * c"))
+        assert calls == 0
+        graph = info.value.graph
+        assert calls == 1 and info.value.graph is graph
+        assert str(info.value).endswith(str(info.value.cause))
+        assert calls == 1
+
     @pytest.mark.parametrize("argv", [
         ["--atoms", "p,q", "--max-connectives", "2", "--classes"],
         ["--atoms", "p,q", "--max-connectives", "9", "--classes"],

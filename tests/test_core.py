@@ -45,6 +45,16 @@ class TestIdentifiers:
         with pytest.raises(ValueError):
             LabelId("")
 
+    @pytest.mark.parametrize("name", [3, b"a", None, ["a"], {}, {"a"}])
+    def test_a_name_that_is_not_a_string_is_one_error(self, name):
+        # An unhashable name fails the intern lookup; it is still the
+        # ValueError every other non-string gets.
+        for kind in (VertexId, LabelId):
+            with pytest.raises(ValueError) as caught:
+                kind(name)
+            assert str(caught.value) == \
+                f"{kind.__name__} needs a nonempty string, got {name!r}"
+
     def test_name_accessor(self):
         assert V("a0").name == "a0"
         assert type(V("a0").name) is str

@@ -15,7 +15,7 @@ from lgraph import (Atom, Error, LogicalGraph, Lolli, NotInFragment,
                     canonical_key, decompose, empty, enumerate_formulas,
                     normalize, parse, print_formula, rename_apart, singleton,
                     to_formula, to_graph, to_json, validate)
-from lgraph.core import peel_tree
+from lgraph.core import NotWellFormed, peel_tree
 from strategies import formulas, valid_graphs
 from util import (G, L, LG, V, flat_tensor, left_lolli, names,
                   right_lolli)
@@ -535,6 +535,47 @@ class TestNormalize:
         assert shared == plain
         assert sum(type(r) is tuple for r in plain) == \
             {2: 32, 3: 162}[len(atoms)]
+
+    @pytest.mark.parametrize("atoms, outside", [([P, Q], 32),
+                                                ([P, Q, R], 162)])
+    def test_not_in_fragment_reads_as_one_built_from_the_translation(
+            self, atoms, outside):
+        # normalize raises NotInFragment without translating, inside the
+        # scope and out; read, it is the one built from to_graph(f) and the
+        # NotWellFormed of its peel, whichever of its graph or its text is
+        # read first, and a second read gives the same objects.
+        formulas = enumerate_formulas(atoms, 3)
+
+        def raised():
+            out = []
+            for f in formulas:
+                try:
+                    normalize(f)
+                except NotInFragment as exc:
+                    out.append((f, exc))
+            return out
+
+        plain = raised()
+        with mill._sharing_classes():
+            shared = raised()
+        assert len(plain) == len(shared) == outside
+        for i, (f, exc) in enumerate(plain + shared):
+            g = to_graph(f)
+            with pytest.raises(NotWellFormed) as peeled:
+                peel_tree(g)
+            want = NotInFragment(g, peeled.value)
+            if i % 2:
+                text = str(exc)
+            graph, cause = exc.graph, exc.cause
+            assert (str(exc), repr(exc), exc.args) == \
+                (str(want), repr(want), want.args)
+            assert type(graph) is type(g) and graph.edges == g.edges
+            assert list(graph.labelling.items()) == list(g.labelling.items())
+            assert (type(cause), str(cause), cause.witness) == \
+                (NotWellFormed, str(want.cause), want.cause.witness)
+            assert exc.graph is graph and exc.cause is cause
+            if i % 2:
+                assert text == str(want)
 
     def test_sharing_classes_gives_one_object_per_class(self):
         # Each formula of one class gets the same normal form back, whether
