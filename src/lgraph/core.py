@@ -34,6 +34,9 @@ class UnknownVertex(Error):
         super().__init__(f"unknown vertex: {vertex!r}")
         self.vertex = vertex
 
+    def __reduce__(self):
+        return type(self), (self.vertex,)
+
 
 class CyclicEdges(Error):
     """The edge relation has a cycle; its transitive closure is not a strict order."""
@@ -43,6 +46,9 @@ class CyclicEdges(Error):
         super().__init__(f"edge cycle: {names} -> {cycle[0]}")
         self.cycle = tuple(cycle)
 
+    def __reduce__(self):
+        return type(self), (self.cycle,)
+
 
 class NotWellFormed(Error):
     """The graph is acyclic but has no conjunction/implication reading."""
@@ -50,6 +56,9 @@ class NotWellFormed(Error):
     def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.witness)
 
 
 class NotASubgraphByName(Error):
@@ -178,6 +187,12 @@ class RawGraph:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """Rebuilt by ``_graph``, so pickle and copy keep the type without
+        validating again."""
+        return _graph, (type(self), dict(self.labelling),
+                        list(self._sorted_edges))
+
     @property
     def _sorted_edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
         """All edges ascending: the sorted successor lists in vertex order."""
@@ -218,6 +233,8 @@ class RawGraph:
 
 
 # RawGraph's slot setters in ``__slots__`` order; they skip ``__setattr__``.
+# They are the one way a slot is written: ``_wire`` fills a graph's slots,
+# ``validate`` shares them with the promoted graph, ``peel_tree`` caches.
 _SLOTS = tuple(getattr(RawGraph, slot).__set__ for slot in RawGraph.__slots__)
 
 
@@ -389,8 +406,8 @@ def validate(g: RawGraph) -> LogicalGraph:
         raise
     # Promote by sharing the immutable internals, the peel tree included.
     promoted = LogicalGraph.__new__(LogicalGraph)
-    for slot in RawGraph.__slots__:
-        object.__setattr__(promoted, slot, getattr(g, slot))
+    for slot, set_slot in zip(RawGraph.__slots__, _SLOTS):
+        set_slot(promoted, getattr(g, slot))
     return promoted
 
 
@@ -402,7 +419,7 @@ def peel_tree(g: LogicalGraph) -> PeelTree:
     tree = g._peel_cache
     if tree is None:
         tree = _peel(g)
-        object.__setattr__(g, "_peel_cache", tree)
+        _SLOTS[-1](g, tree)  # _peel_cache
     return tree
 
 

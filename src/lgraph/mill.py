@@ -19,6 +19,8 @@ While ``lg enumerate --classes`` runs, and only then, a memo of classes
 lets ``normalize`` build a compound's class from its operands' canonical
 parts, which it shares and never copies, without walking, rendering or
 parsing the compound, and hand back one formula per class and its key.
+A compound met whole there is walked once and its class keeps no level,
+so a compound of it is walked once per operand pair.
 Translation and the composed peel tree fold one right-first pre-order of
 the formula's compounds, which checks each node's operands, left first, as
 it reaches the node; the printer checks as it prints, left to right.  Those
@@ -94,6 +96,10 @@ class ParseError(Error):
         super().__init__(f"at {position}: expected {expected}{detail}")
         self.position = position
         self.expected = expected
+        self.found = found
+
+    def __reduce__(self):
+        return type(self), (self.position, self.expected, self.found)
 
 
 class NotInFragment(Error):
@@ -102,7 +108,8 @@ class NotInFragment(Error):
     ``_of(f)`` makes one for a formula f known to be outside the fragment
     without translating f: its graph, ``to_graph(f)``, and its cause, the
     NotWellFormed that peeling the graph raises, are made the first time
-    its graph, cause, text or args are read, and then kept."""
+    its graph, cause, text or args are read, and then kept.  Pickled or
+    copied before then, it travels as its formula, still untranslated."""
 
     def __init__(self, graph: RawGraph, cause: Error):
         super().__init__(f"formula translates outside the graph fragment: {cause}")
@@ -114,6 +121,12 @@ class NotInFragment(Error):
         exc = cls.__new__(cls)
         exc._formula = f
         return exc
+
+    def __reduce__(self):
+        f = self.__dict__.get("_formula")
+        if f is not None:
+            return type(self)._of, (f,)
+        return type(self), (self.graph, self.cause)
 
     def _filled(self) -> NotInFragment:
         f = self.__dict__.pop("_formula", None)
@@ -591,27 +604,20 @@ def _level(x, levels: list) -> list:
     return [] if kind is Unit else levels.pop()
 
 
-def _fold(f: Formula, leaf, tensor, lolli):
-    """The fold of ``tensor`` over tensors and ``lolli`` over implications,
-    over ``_compounds(f)`` backwards, with ``leaf`` reading atom and unit
-    operands in place as ``to_graph`` reads them, and the result of the
-    compound below otherwise; None as soon as a step gives None."""
-    levels: list = []
-    for x in reversed(_compounds(f)):
-        right = leaf(x.right, levels)  # its level was pushed last
-        level = (tensor if type(x) is Tensor else lolli)(leaf(x.left, levels),
-                                                         right)
-        if level is None:
-            return None
-        levels.append(level)
-    return leaf(f, levels)
-
-
 def _formula_tree(f: Formula) -> PeelTree | None:
     """The peel tree of ``to_graph(f)`` read off f, with label lists for
     cliques; None outside the fragment.  The fold of ``_union`` over tensors
-    and ``_imply`` over implications."""
-    return _fold(f, _level, _union, _imply)
+    and ``_imply`` over implications, over ``_compounds(f)`` backwards, with
+    atom and unit operands read in place as ``to_graph`` reads them."""
+    levels: list = []
+    for x in reversed(_compounds(f)):
+        right = _level(x.right, levels)  # its level was pushed last
+        level = (_union if type(x) is Tensor else _imply)(
+            _level(x.left, levels), right)
+        if level is None:
+            return None
+        levels.append(level)
+    return _level(f, levels)
 
 
 def _key_text(f: Formula) -> str:
@@ -694,27 +700,20 @@ def _lolli_level(a: tuple, b: tuple) -> tuple | None:
     return (_part(labels, _tensor_level(sub, a), f.right if sub else f),)
 
 
-def _leaf_level(x, levels: list) -> tuple:
-    """The level of an atom or 1 read in place, else the next on levels."""
-    kind = type(x)
-    if kind is Atom:
-        return (_part((x.label,), (), x),)
-    return () if kind is Unit else levels.pop()
-
-
-def _level_of(normal: Formula) -> tuple:
-    """The level of a normal form, folded as ``_formula_tree`` folds."""
-    return _fold(normal, _leaf_level, _tensor_level, _lolli_level)
+def _leaf_level(x: Atom | Unit) -> tuple:
+    """The level of an atom or 1."""
+    return (_part((x.label,), (), x),) if type(x) is Atom else ()
 
 
 # While ``_sharing_classes`` is open: a dict from id(f) to the class entry
 # (key, normal form, level) of each formula f normalised inside the
-# fragment, and to ``_OUTSIDE`` for each outside it; from the id of each
-# normal form handed out, which is a formula of its class, to that class's
-# entry; from (connective, left key, right key), a tensor's keys in sorted
-# order, to the entry of the first formula so composed; and from each key
-# to its class's one entry.  And a list that keeps each f alive, so that
-# no id is reused while the scope is open.
+# fragment, the level None for a class first met whole, and to
+# ``_OUTSIDE`` for each outside it; from the id of each normal form handed
+# out, which is a formula of its class, to that class's entry; from
+# (connective, left key, right key), a tensor's keys in sorted order, to
+# the entry of the first formula so composed; and from each key to its
+# class's one entry.  And a list that keeps each f alive, so that no id is
+# reused while the scope is open.
 _classes: tuple[dict, list] | None = None
 _OUTSIDE = object()
 
@@ -737,15 +736,11 @@ def _sharing_classes():
 
 def _class_of_key(key: str, classes: dict,
                   level: tuple | None = None) -> tuple:
-    """The entry of the class with this key, made if new, its normal form
-    from its level if given, else from its key."""
+    """The entry of the class with this key, made if new: its normal form
+    is its level's formula, or its key parsed when it has no level."""
     known = classes.get(key)
     if known is None:
-        if level is None:
-            normal = parse(key)
-            level = _level_of(normal)
-        else:
-            normal = _level_formula(level)
+        normal = parse(key) if level is None else _level_formula(level)
         known = classes[key] = classes[id(normal)] = (key, normal, level)
     return known
 
@@ -753,26 +748,29 @@ def _class_of_key(key: str, classes: dict,
 def _class_of(f: Formula, classes: dict) -> tuple:
     """The entry of f's class in the scope; NotInFragment outside."""
     kind = type(f)
-    if kind is Tensor or kind is Lolli:
-        left, right = classes.get(id(f.left)), classes.get(id(f.right))
-        if left is _OUTSIDE or right is _OUTSIDE:
-            # The fragment is closed under subformulas.
-            raise NotInFragment._of(f)
-        if left is not None and right is not None:
-            if kind is Tensor and right[0] < left[0]:
-                left, right = right, left
-            triple = (kind, left[0], right[0])
-            known = classes.get(triple)
-            if known is None:
-                level = (_tensor_level if kind is Tensor else _lolli_level)(
-                    left[2], right[2])
-                if level is None:
-                    raise NotInFragment._of(f)
-                known = classes[triple] = _class_of_key(
-                    _level_key(level)[0], classes, level)
-            return known
-    # A leaf, or a compound whose operands were not normalised here.
-    return _class_of_key(_key_text(f), classes)
+    if kind is not Tensor and kind is not Lolli:
+        return _class_of_key(_key_text(f), classes, _leaf_level(f))
+    left, right = classes.get(id(f.left)), classes.get(id(f.right))
+    if left is _OUTSIDE or right is _OUTSIDE:
+        # The fragment is closed under subformulas.
+        raise NotInFragment._of(f)
+    if left is None or right is None:  # met whole
+        return _class_of_key(_key_text(f), classes)
+    if kind is Tensor and right[0] < left[0]:
+        left, right = right, left
+    triple = (kind, left[0], right[0])
+    known = classes.get(triple)
+    if known is None:
+        if left[2] is None or right[2] is None:
+            known = _class_of_key(_key_text(f), classes)
+        else:
+            level = (_tensor_level if kind is Tensor else _lolli_level)(
+                left[2], right[2])
+            if level is None:
+                raise NotInFragment._of(f)
+            known = _class_of_key(_level_key(level)[0], classes, level)
+        classes[triple] = known
+    return known
 
 
 def normalize(f: Formula) -> Formula:
@@ -792,7 +790,9 @@ def normalize(f: Formula) -> Formula:
     A new pair composes the operands' levels, building only the new parts
     and their text and formulas, without walking f, parsing or copying.  An
     implication whose right side has several parts, or an operand found
-    outside the fragment, puts f outside without a walk.  A key met
+    outside the fragment, puts f outside without a walk.  A compound met
+    whole is walked once, as outside the scope, and its class has no
+    level, so a compound of it is walked once per operand pair.  A key met
     before gives its class's normal form.
     """
     scope = _classes

@@ -28,6 +28,7 @@ from lgraph import (Action, LabelId, NotASubgraphByName, NotInFragment,
                     rewrite_variants, singleton, subtract, to_formula,
                     to_graph, to_json, traverse_dfs, validate,
                     vertex_match_perms)
+from lgraph import mill
 from lgraph.core import Error, _up_closure
 from lgraph.mill import Atom, Lolli, Tensor, Unit
 from lgraph.oracle import count_formulas
@@ -542,6 +543,40 @@ def test_linear_scaling_of_normalize():
     table = "; ".join(f"{name}: " + "/".join(f"{t * 1000:.0f}" for t in times)
                       + " ms" for name, times in rows.items())
     print(f"\nacceptance normalize scaling: PASS (n={sizes}; {table})")
+
+
+def test_normalize_in_the_class_scope_costs_what_plain_normalize_costs():
+    # Inside the scope a formula met whole is walked once, as plain
+    # normalize walks it; parsing its key and folding the normal form again
+    # through the scope's level steps made it quadratic (7.7 s for a left
+    # '*' chain of 4,000 atoms).  Each size is checked as it is timed, so a
+    # quadratic route fails at the first one.
+    sizes = [1_000, 3_162, 10_000]
+    shapes = {"left *": flat_tensor, "right *": right_tensor,
+              "left -o": left_lolli, "right -o": right_lolli}
+    rows = {name: [] for name in shapes}
+
+    def in_scope(f):
+        with mill._sharing_classes():
+            return normalize(f)
+
+    for n in sizes:
+        for name, build in shapes.items():
+            f = build(_labels(n))
+            assert print_formula(in_scope(f)) == \
+                print_formula(normalize(f)), f"{name} at {n}"
+            plain = _best_of(3, lambda: normalize(f))
+            scoped = _best_of(3, lambda: in_scope(f))
+            assert scoped <= 2 * plain + 0.05, f"{name} at {n}: " \
+                f"{scoped:.3f}s in the scope, {plain:.3f}s plain"
+            rows[name].append(scoped)
+    for name, times in rows.items():
+        slope = _loglog_slope(sizes, times)
+        assert 0.4 < slope < 1.6, f"{name}: log-log slope {slope:.2f}"
+    table = "; ".join(f"{name}: " + "/".join(f"{t * 1000:.0f}" for t in times)
+                      + " ms" for name, times in rows.items())
+    print(f"\nacceptance normalize in the class scope: PASS (n={sizes}; "
+          f"{table})")
 
 
 def test_add_of_a_large_graph_to_itself():

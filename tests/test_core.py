@@ -1,20 +1,24 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 import refimpl
 from lgraph import (CyclicEdges, LabelId, LogicalGraph, NotWellFormed,
-                    RawGraph, SubgraphRelation, UnknownVertex, VertexId,
-                    assumption_graph, alpha_equiv, conclusions, from_json,
-                    full_assumption_graph, induced_subgraph, predecessors,
-                    rename_apart, rename_graph, subgraph_relation, successors,
-                    to_json, validate, vset)
+                    RawGraph, SubgraphRelation, UnknownVertex,
+                    VertexId, assumption_graph, alpha_equiv, conclusions,
+                    enumerate_formulas, from_json, full_assumption_graph,
+                    induced_subgraph, normalize, parse, predecessors,
+                    rename_apart, rename_graph, subgraph_relation, subtract,
+                    successors, to_json, validate, vset)
 from lgraph.core import Error, _fresh_names, _peel, peel_tree
 from refimpl import fresh_name
 from strategies import dag_graphs, named_graphs, raw_graphs, valid_graphs
@@ -751,3 +755,81 @@ def _outcome(read, text):
     except Exception as exc:
         return type(exc), str(exc)
     return type(g), g, g.vertices(), g._preds, g._succs
+
+
+_ROUND_TRIPS = [lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                copy.deepcopy]
+
+
+def _validated(g):
+    """validate(g), or the type and message of what it raised."""
+    try:
+        h = validate(g)
+    except Error as exc:
+        return type(exc), str(exc)
+    return type(h), h
+
+
+def _raised(fn, *args):
+    with pytest.raises(Error) as info:
+        fn(*args)
+    return info.value
+
+
+def _read(exc):
+    str(exc)
+    return exc
+
+
+def _fields(exc):
+    """An error's fields, an error among them by its type, text and fields."""
+    return {name: (type(value), str(value), _fields(value))
+            if isinstance(value, BaseException) else value
+            for name, value in vars(exc).items()}
+
+
+_OUTSIDE = "p -o (a -o b) * c"
+
+# One of each public error, made as the package makes it.
+_ERRORS = {
+    "Error": lambda: Error("invalid graph file: top level must be an object"),
+    "UnknownVertex": lambda: _raised(predecessors, G("a"), V("b")),
+    "CyclicEdges": lambda: _raised(validate, G("a b c", "a>b b>c c>a")),
+    "NotWellFormed": lambda: _raised(validate, G(*N_GRAPH)),
+    "NotASubgraphByName": lambda: _raised(subtract, G("a:p"), G("k:r")),
+    "ParseError": lambda: _raised(parse, "p q $"),
+    "ParseError-at-end": lambda: _raised(parse, "(p * q"),
+    "NotInFragment-unread": lambda: _raised(normalize, parse(_OUTSIDE)),
+    "NotInFragment-read":
+        lambda: _read(_raised(normalize, parse(_OUTSIDE))),
+    "BoundsTooLarge": lambda: _raised(enumerate_formulas, [L("p")], 100_000),
+}
+
+
+class TestPickleAndCopy:
+    @given(st.one_of(valid_graphs(), dag_graphs()))
+    def test_graphs_round_trip(self, g):
+        for trip in _ROUND_TRIPS:
+            back = trip(g)
+            assert type(back) is type(g)
+            assert back == g and to_json(back) == to_json(g)
+            assert _validated(back) == _validated(g)
+
+    @pytest.mark.parametrize("make", _ERRORS.values(), ids=_ERRORS.keys())
+    def test_errors_round_trip(self, make):
+        for trip in _ROUND_TRIPS:
+            exc = make()
+            unread = "_formula" in vars(exc)
+            back = trip(exc)
+            assert type(back) is type(exc)
+            # An unread NotInFragment travels as its formula, untranslated.
+            assert "_formula" in vars(exc) and "_formula" in vars(back) \
+                if unread else "_formula" not in vars(back)
+            assert (str(back), back.args, _fields(back)) == \
+                (str(exc), exc.args, _fields(exc))
+
+    def test_every_public_error_type_is_round_tripped(self):
+        import lgraph
+        public = {value for value in map(lgraph.__dict__.get, lgraph.__all__)
+                  if isinstance(value, type) and issubclass(value, Error)}
+        assert {type(make()) for make in _ERRORS.values()} == public
