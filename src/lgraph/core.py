@@ -132,7 +132,9 @@ class RawGraph:
     order, the first vertex not a VertexId, or label not a LabelId, raises
     TypeError, and then the first unlabelled endpoint UnknownVertex.
     Instances are immutable and all built by ``_wire``, which precomputes
-    adjacency so predecessor/successor queries are O(degree).
+    adjacency so predecessor/successor queries are O(degree); a graph
+    without edges shares one empty adjacency, and a builder that lists the
+    labelling in name order (``to_graph``, ``_restrict``) skips the sort.
     """
 
     __slots__ = ("labelling", "edges", "_sorted_vertices", "_preds", "_succs",
@@ -151,11 +153,14 @@ class RawGraph:
                 raise UnknownVertex(src if src not in lab else dst)
         self._wire(lab, edges)
 
-    def _wire(self, lab: dict, edges: list) -> None:
-        """Fill the slots: lab is owned and labels every edge endpoint.
+    def _wire(self, lab: dict, edges: list, in_order: bool = False) -> None:
+        """Fill the slots: lab is owned and labels every edge endpoint, and
+        in_order says that lab's keys already run in name order.
 
         edges is wired in its own order when it repeats no edge, since on a
         large graph vertex order is much faster than the set's hash order.
+        Without edges, every vertex maps to one shared empty tuple in one
+        map for both directions, so no container is made per vertex.
         Small graphs are common, so the fixed cost is kept low: no sorts
         under two edges, and the slots are set through their descriptors.
         """
@@ -163,23 +168,26 @@ class RawGraph:
         # Sorting by the plain string keeps the order and skips the
         # Python-level comparison that VertexId's __eq__ brings with it,
         # which is most of the cost of sorting many vertices.
-        verts = sorted(lab, key=str.__str__)
-        preds: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
-        succs: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
-        for src, dst in (edges if len(edges) == len(eset) else eset):
-            preds[dst].append(src)
-            succs[src].append(dst)
-        if len(eset) > 1:
-            for lst in preds.values():
-                if len(lst) > 1:
-                    lst.sort(key=str.__str__)
-            for lst in succs.values():
-                if len(lst) > 1:
-                    lst.sort(key=str.__str__)
+        verts = tuple(lab) if in_order else tuple(sorted(lab, key=str.__str__))
+        if not eset:
+            preds = succs = dict.fromkeys(verts, ())
+        else:
+            preds = {v: [] for v in verts}
+            succs = {v: [] for v in verts}
+            for src, dst in (edges if len(edges) == len(eset) else eset):
+                preds[dst].append(src)
+                succs[src].append(dst)
+            if len(eset) > 1:
+                for lst in preds.values():
+                    if len(lst) > 1:
+                        lst.sort(key=str.__str__)
+                for lst in succs.values():
+                    if len(lst) > 1:
+                        lst.sort(key=str.__str__)
         set_lab, set_edges, set_verts, set_preds, set_succs, set_peel = _SLOTS
         set_lab(self, MappingProxyType(lab))
         set_edges(self, eset)
-        set_verts(self, tuple(verts))
+        set_verts(self, verts)
         set_preds(self, preds)
         set_succs(self, succs)
         set_peel(self, None)
@@ -255,11 +263,12 @@ class LogicalGraph(RawGraph):
         validate(self)
 
 
-def _graph(cls: type, lab: dict, edges: list) -> RawGraph:
+def _graph(cls: type, lab: dict, edges: list, in_order=False) -> RawGraph:
     """Internal constructor for callers that own lab and built the edge
-    list from lab's own keys; skips the defensive copy and endpoint checks."""
+    list from lab's own keys; skips the defensive copy and endpoint checks.
+    A builder that lists lab in name order says so with in_order."""
     g = cls.__new__(cls)
-    g._wire(lab, edges)
+    g._wire(lab, edges, in_order)
     return g
 
 
@@ -406,8 +415,13 @@ def validate(g: RawGraph) -> LogicalGraph:
         raise
     # Promote by sharing the immutable internals, the peel tree included.
     promoted = LogicalGraph.__new__(LogicalGraph)
-    for slot, set_slot in zip(RawGraph.__slots__, _SLOTS):
-        set_slot(promoted, getattr(g, slot))
+    set_lab, set_edges, set_verts, set_preds, set_succs, set_peel = _SLOTS
+    set_lab(promoted, g.labelling)
+    set_edges(promoted, g.edges)
+    set_verts(promoted, g._sorted_vertices)
+    set_preds(promoted, g._preds)
+    set_succs(promoted, g._succs)
+    set_peel(promoted, g._peel_cache)
     return promoted
 
 
@@ -440,12 +454,12 @@ def _up_closure(g: RawGraph, seeds: Iterable[VertexId]) -> set[VertexId]:
 def _restrict(g: RawGraph, members: Iterable[VertexId], cls: type) -> RawGraph:
     # The subgraph induced on members, which subtract also builds.  Members
     # in vertex order, as subtract lists them, sort in one run; sorted, they
-    # hand _wire one run to sort and an edge list in vertex order.
+    # need no sort in _wire and give an edge list in vertex order.
     lab = g.labelling
     preds = g._preds
     sub = {v: lab[v] for v in sorted(members, key=str.__str__)}
     return _graph(cls, sub,
-                  [(w, v) for v in sub for w in preds[v] if w in sub])
+                  [(w, v) for v in sub for w in preds[v] if w in sub], True)
 
 
 def assumption_graph(g: RawGraph, v: VertexId) -> RawGraph:

@@ -49,12 +49,20 @@ class Unit:
     """The unit formula 1."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Atom:
     label: LabelId
 
+    def __init__(self, label: LabelId):  # cheaper than the dataclass's
+        if not isinstance(label, LabelId):
+            raise TypeError(f"{label!r} is not a LabelId")
+        _set_label(self, label)
+
     def __repr__(self):
         return f"Atom({self.label.name!r})"
+
+
+_set_label = Atom.label.__set__
 
 
 def _filled_through_slots(cls: type) -> type:
@@ -348,11 +356,13 @@ def to_graph(f: Formula) -> RawGraph:
     "v0".."v{m-1}" in string order (so v10 ranks before v2).
 
     A fold over ``_compounds(f)`` backwards, children first, computes that
-    naming directly, reading atom and unit operands in place.  Each
-    subresult is its slot list (slot i holds the vertex named v_i) and its
-    conclusion list; a merge reuses the larger slot list and moves only
-    min(a, b) entries, and edges are recorded once between vertex numbers.
-    The graph is built once, at the end.
+    naming directly, reading atom and unit operands in place.  An atom's
+    subresult is its vertex number; any other is its slot list (slot i
+    holds the vertex named v_i) and its conclusion list.  A merge reuses
+    the larger slot list and moves only min(a, b) entries, so a one-vertex
+    side is appended, or takes slot 0, whose vertex moves to the end.
+    Edges are recorded once between vertex numbers, and the graph is built
+    once, at the end, with its labelling in name order.
     """
     nodes = _compounds(f)
     if not nodes:
@@ -361,50 +371,65 @@ def to_graph(f: Formula) -> RawGraph:
     labels: list[LabelId] = []
     edges: list[tuple[int, int]] = []
     has_lolli = False
-    results: list[tuple[list[int], list[int]]] = []
+    results: list = []
     for x in reversed(nodes):
         right = x.right
         kind = type(right)
         if kind is Atom:
-            v = len(labels)
+            k = len(labels)
             labels.append(right.label)
-            k_slots, k_ends = [v], [v]
-        elif kind is Unit:
-            k_slots, k_ends = [], []
         else:
-            k_slots, k_ends = results.pop()
+            k = ([], []) if kind is Unit else results.pop()
         left = x.left
         kind = type(left)
         if kind is Atom:
-            v = len(labels)
+            h = len(labels)
             labels.append(left.label)
-            h_slots, h_ends = [v], [v]
-        elif kind is Unit:
-            h_slots, h_ends = [], []
         else:
-            h_slots, h_ends = results.pop()
-        a, b = len(h_slots), len(k_slots)
-        # Up to v9, string order is numeric order.
-        if a <= b:
-            slots = k_slots
-            slots.extend(h_slots if a <= 10 else
-                         [h_slots[i] for i in _string_order(a)])
+            h = ([], []) if kind is Unit else results.pop()
+        lolli = type(x) is Lolli
+        has_lolli |= lolli
+        if type(h) is int:
+            if type(k) is int:
+                k = [k], [k]
+            slots, ends = k
+            slots.append(h)
+            if not lolli or not ends:
+                ends.append(h)
+            else:
+                edges.extend([(h, w) for w in ends])
+        elif type(k) is int:
+            slots, ends = h
+            slots.append(slots[0] if slots else k)
+            slots[0] = k
+            if lolli:
+                edges.extend([(v, k) for v in ends])
+                ends = [k]
+            else:
+                ends.append(k)
         else:
-            slots = h_slots
-            low = slots[:b]
-            slots[:b] = k_slots
-            slots.extend(low if b <= 10 else
-                         [low[i] for i in _string_order(b)])
-        if type(x) is Lolli:
-            has_lolli = True
-            edges.extend(product(h_ends, k_ends))
-            ends = k_ends if k_ends else h_ends
-        elif len(h_ends) < len(k_ends):
-            ends = k_ends
-            ends.extend(h_ends)
-        else:
-            ends = h_ends
-            ends.extend(k_ends)
+            (h_slots, h_ends), (k_slots, k_ends) = h, k
+            a, b = len(h_slots), len(k_slots)
+            # Up to v9, string order is numeric order.
+            if a <= b:
+                slots = k_slots
+                slots.extend(h_slots if a <= 10 else
+                             [h_slots[i] for i in _string_order(a)])
+            else:
+                slots = h_slots
+                low = slots[:b]
+                slots[:b] = k_slots
+                slots.extend(low if b <= 10 else
+                             [low[i] for i in _string_order(b)])
+            if lolli:
+                edges.extend(product(h_ends, k_ends))
+                ends = k_ends if k_ends else h_ends
+            elif len(h_ends) < len(k_ends):
+                ends = k_ends
+                ends.extend(h_ends)
+            else:
+                ends = h_ends
+                ends.extend(k_ends)
         results.append((slots, ends))
     (slots, _), = results
     n = len(slots)
@@ -417,7 +442,7 @@ def to_graph(f: Formula) -> RawGraph:
         for i, v in enumerate(slots):
             name_of[v] = names[i]
         edges = [(name_of[s], name_of[d]) for s, d in edges]
-    return _graph(RawGraph if has_lolli else LogicalGraph, lab, edges)
+    return _graph(RawGraph if has_lolli else LogicalGraph, lab, edges, True)
 
 
 @dataclass(frozen=True, slots=True)

@@ -501,6 +501,30 @@ def _loglog_slope(sizes, times):
         / (k * sum(x * x for x in xs) - sum(xs) ** 2)
 
 
+def test_to_graph_keeps_no_container_per_vertex():
+    # The tracked containers a 1,000-atom flat * chain's graph keeps alive,
+    # counted with the collector off so that none is freed meanwhile.  The
+    # graph has no edges, so its adjacency is one shared map of empty
+    # tuples; two lists per vertex would count about 2 per vertex.
+    import gc
+    n = 1_000
+    f = flat_tensor(_labels(n))
+    to_graph(f)  # names and string orders are made once per process
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        g = to_graph(f)
+        kept = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(g) == n
+    assert kept < 0.1 * n, f"{kept} tracked containers for {n} vertices"
+    print(f"\nacceptance to_graph containers: PASS ({kept} for {n} "
+          "vertices)")
+
+
 def test_linear_scaling_of_to_graph():
     # Formulas are built directly: parse and Formula hashing still recurse.
     sizes = [1_000, 3_162, 10_000, 31_623, 100_000]

@@ -309,6 +309,21 @@ class TestFormulaValues:
             with pytest.raises(TypeError):
                 kind(Atom(P))
 
+    def test_an_atom_refuses_a_label_that_is_not_a_label_id(self):
+        # As RawGraph refuses such a label, so no translation can carry one
+        # into a graph, and every reading of an atom agrees.
+        for label in ("p", V("p"), None, 3):
+            with pytest.raises(TypeError, match="is not a LabelId"):
+                Atom(label)
+        with pytest.raises(TypeError):
+            dataclasses.replace(Atom(P), label="q")
+        atom = Atom(P)
+        assert repr(atom) == "Atom('p')"
+        assert to_graph(atom) == RawGraph({V("v0"): P})
+        assert normalize(atom) == atom
+        with mill._sharing_classes():
+            assert normalize(atom) == atom
+
 
 class TestToGraphIsTotal:
     N = 100_000
